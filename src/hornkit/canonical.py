@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import Closure, ClosureSource
+from .closure import Closure, ClosureSource, _close_rowwise
 from .core import (
     AttrSet,
     Implication,
@@ -76,17 +76,16 @@ def remove_redundancy(sigma: ImplicationSet) -> ImplicationSet:
     When an earlier and a later implication are interchangeable the earlier
     one is dropped; the survivors keep their input order.
     """
-    u = sigma.universe
-    kept = list(sigma.items)
-    i = 0
-    while i < len(kept):
-        rest = ImplicationSet(u, tuple(kept[:i] + kept[i + 1 :]))
-        cand = kept[i]
-        if cand.conclusion.mask & ~Closure.from_sigma(rest).of_mask(cand.premise.mask) == 0:
-            kept.pop(i)
-        else:
-            i += 1
-    return ImplicationSet(u, tuple(kept))
+    pairs = sigma.mask_pairs()
+    kept = []
+    for i, imp in enumerate(sigma):
+        prem, conc = pairs[i]
+        # leave rule i out: an empty rule (0, 0) never adds anything
+        pairs[i] = (0, 0)
+        if conc & ~_close_rowwise(pairs, prem):
+            pairs[i] = (prem, conc)
+            kept.append(imp)
+    return ImplicationSet(sigma.universe, tuple(kept))
 
 
 def trim_conclusions(sigma: ImplicationSet) -> ImplicationSet:

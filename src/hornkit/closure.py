@@ -5,6 +5,7 @@ semantic consequence, and lectic enumeration of closed sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Union
 
 from .core import (
@@ -19,13 +20,12 @@ from .core import (
 )
 from .errors import BoundExceededError, UniverseMismatchError
 
-#: switch to column-wise premise testing when |sigma| / |E| exceeds this
-VERTICAL_THRESHOLD = 4
-
 ClosureSource = Union[ImplicationSet, SetFamily, "Closure"]
 
+Pairs = list[tuple[int, int]]
 
-def _close_rowwise(pairs: list[tuple[int, int]], mask: int) -> int:
+
+def _close_rowwise(pairs: Pairs, mask: int) -> int:
     """Least fixpoint by repeated row-wise scans; fired rules drop out."""
     pending = range(len(pairs))
     while True:
@@ -44,31 +44,85 @@ def _close_rowwise(pairs: list[tuple[int, int]], mask: int) -> int:
 
 
 def _close_columnwise(
-    n: int, pairs: list[tuple[int, int]], cols: list[int], mask: int
+    occ: list[list[int]], need: list[int], concs: list[int], axioms: int, mask: int
 ) -> int:
-    """Least fixpoint testing premises column-by-column (vertical layout).
+    """Least fixpoint in the vertical layout, by LinClosure (Beeri and
+    Bernstein 1979).
 
-    cols[p] holds the rule indices whose premise contains position p, so the
-    rules blocked at S are the union of cols[p] over p outside S.
+    occ[p] lists the rules whose premise contains position p, and need[i]
+    counts the premise positions of rule i; axioms unites the conclusions
+    of the empty-premise rules. Each position that joins the set is visited
+    once, and a rule fires when its last premise position joins.
     """
-    all_rules = (1 << len(pairs)) - 1
-    fired = 0
-    while True:
-        blocked = 0
-        out = ~mask
-        for p in range(n):
-            if out >> p & 1:
-                blocked |= cols[p]
-        ready = all_rules & ~blocked & ~fired
-        if not ready:
-            return mask
-        new = mask
-        for i in bits(ready):
-            new |= pairs[i][1]
-        fired |= ready
-        if new == mask:
-            return mask
-        mask = new
+    left = need.copy()
+    closed = mask | axioms
+    todo = closed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for i in occ[low.bit_length() - 1]:
+            left[i] -= 1
+            if not left[i]:
+                add = concs[i] & ~closed
+                if add:
+                    closed |= add
+                    todo |= add
+    return closed
+
+
+def _compile_columnwise(n: int, pairs: Pairs) -> Callable[[int], int]:
+    occ: list[list[int]] = [[] for _ in range(n)]
+    axioms = 0
+    for i, (prem, conc) in enumerate(pairs):
+        if not prem:
+            axioms |= conc
+        for p in bits(prem):
+            occ[p].append(i)
+    need = [prem.bit_count() for prem, _ in pairs]
+    concs = [conc for _, conc in pairs]
+    return partial(_close_columnwise, occ, need, concs, axioms)
+
+
+def _close_family(full: int, members: list[int], mask: int) -> int:
+    acc = full
+    for m in members:
+        if mask & ~m == 0:
+            acc &= m
+    return acc
+
+
+class _Compiled:
+    """Mask pairs and closure kernels of one implication family.
+
+    Kept in the family's ``_compiled`` slot, so a family compiles once
+    however many operators and queries are made from it; the family is
+    frozen, so nothing here goes stale.
+    """
+
+    __slots__ = ("n", "pairs", "kernels")
+
+    def __init__(self, sigma: ImplicationSet):
+        self.n = sigma.universe.size
+        self.pairs = sigma.mask_pairs()
+        self.kernels: dict[str, Callable[[int], int]] = {}
+
+    def kernel(self, layout: str) -> Callable[[int], int]:
+        fn = self.kernels.get(layout)
+        if fn is None:
+            if layout == "row":
+                fn = partial(_close_rowwise, self.pairs)
+            else:
+                fn = _compile_columnwise(self.n, self.pairs)
+            self.kernels[layout] = fn
+        return fn
+
+
+def _compiled(sigma: ImplicationSet) -> _Compiled:
+    got = sigma._compiled
+    if got is None:
+        got = _Compiled(sigma)
+        object.__setattr__(sigma, "_compiled", got)
+    return got
 
 
 class Closure:
@@ -99,34 +153,21 @@ class Closure:
 
     @classmethod
     def from_sigma(cls, sigma: ImplicationSet, layout: str = "auto") -> Closure:
-        n = sigma.universe.size
-        pairs = sigma.mask_pairs()
+        """Closure under sigma, evaluated row-wise ("row") or column-wise by
+        LinClosure ("column"). "auto" takes the column kernel: a query
+        touches only the rules whose premises meet the positions it adds."""
         if layout == "auto":
-            layout = "column" if len(pairs) > VERTICAL_THRESHOLD * n else "row"
-        if layout == "row":
-            fn = lambda mask: _close_rowwise(pairs, mask)
-        elif layout == "column":
-            cols = [0] * n
-            for i, (prem, _) in enumerate(pairs):
-                for p in bits(prem):
-                    cols[p] |= 1 << i
-            fn = lambda mask: _close_columnwise(n, pairs, cols, mask)
-        else:
+            layout = "column"
+        elif layout not in ("row", "column"):
             raise ValueError(f"unknown layout {layout!r}")
-        return cls(sigma.universe, fn)
+        return cls(sigma.universe, _compiled(sigma).kernel(layout))
 
     @classmethod
     def from_family(cls, family: SetFamily) -> Closure:
-        full = family.universe.full_mask
-        ms = family.masks()
-
-        def fn(mask: int) -> int:
-            acc = full
-            for m in ms:
-                if mask & ~m == 0:
-                    acc &= m
-            return acc
-
+        fn = family._compiled
+        if fn is None:
+            fn = partial(_close_family, family.universe.full_mask, family.masks())
+            object.__setattr__(family, "_compiled", fn)
         return cls(family.universe, fn)
 
     @classmethod
@@ -157,7 +198,7 @@ def step(sigma: ImplicationSet, s: AttrSet) -> AttrSet:
         raise UniverseMismatchError("set and family in different universes")
     mask = s.mask
     new = mask
-    for prem, conc in sigma.mask_pairs():
+    for prem, conc in _compiled(sigma).pairs:
         if prem & ~mask == 0:
             new |= conc
     return AttrSet(s.universe, new)
@@ -190,8 +231,10 @@ def close_family(family: SetFamily, s: AttrSet) -> AttrSet:
 
 def is_closed(sigma: ImplicationSet, s: AttrSet) -> bool:
     """True iff every implication with premise inside s concludes inside s."""
+    if s.universe != sigma.universe:
+        raise UniverseMismatchError("set and family in different universes")
     mask = s.mask
-    for prem, conc in sigma.mask_pairs():
+    for prem, conc in _compiled(sigma).pairs:
         if prem & ~mask == 0 and conc & ~mask:
             return False
     return True
@@ -199,6 +242,8 @@ def is_closed(sigma: ImplicationSet, s: AttrSet) -> bool:
 
 def entails(sigma: ImplicationSet, query: Implication) -> bool:
     """True iff the conclusion of query lies in the closure of its premise."""
+    if query.universe != sigma.universe:
+        raise UniverseMismatchError("implication and family in different universes")
     cl = Closure.from_sigma(sigma).of_mask(query.premise.mask)
     return query.conclusion.mask & ~cl == 0
 

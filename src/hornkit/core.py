@@ -9,7 +9,7 @@ algebra in the closure algorithms word-parallel.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ParseError, UniverseMismatchError
@@ -206,11 +206,19 @@ class ImplicationSet:
 
     universe: Universe
     items: tuple[Implication, ...]
+    #: compiled closure kernel, filled on first use by ``hornkit.closure``;
+    #: not part of the value, so it stays out of eq, hash, repr and pickles
+    _compiled: object = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for imp in self.items:
             if imp.universe != self.universe:
                 raise UniverseMismatchError("implication outside family universe")
+
+    def __reduce__(self):
+        return (type(self), (self.universe, self.items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -237,11 +245,18 @@ class SetFamily:
 
     universe: Universe
     sets: tuple[AttrSet, ...]
+    #: compiled closure kernel, as on ImplicationSet
+    _compiled: object = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for s in self.sets:
             if s.universe != self.universe:
                 raise UniverseMismatchError("set outside family universe")
+
+    def __reduce__(self):
+        return (type(self), (self.universe, self.sets))
 
     def __len__(self) -> int:
         return len(self.sets)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from hornkit import (
@@ -6,6 +9,7 @@ from hornkit import (
     Implication,
     ImplicationSet,
     Universe,
+    UniverseMismatchError,
     close,
     close_family,
     close_trace,
@@ -65,10 +69,20 @@ class TestClose:
             u = uni(rng.randint(2, 8))
             s = rand_sigma(rng, u)
             m = rng.getrandbits(u.size)
+            want = oracle_close(brute_closed_masks(u.size, s), u.full_mask, m)
             assert (
-                close(s, u.from_mask(m), layout="row")
-                == close(s, u.from_mask(m), layout="column")
+                close(s, u.from_mask(m), layout="row").mask
+                == close(s, u.from_mask(m), layout="column").mask
+                == close(s, u.from_mask(m)).mask
+                == want
             )
+
+    def test_unknown_layout_refused(self):
+        s = sig(U6, "1 -> 2")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Closure.from_sigma(s, "diagonal")
+        assert s._compiled is None
 
     def test_wide_universe_multiword(self):
         # positions beyond 64 exercise the arbitrary-width masks
@@ -146,6 +160,14 @@ class TestIsClosedEntails:
 
     def test_entails_derived_rule(self):
         assert entails(EQ38, imp(U6, "2 6 -> 1 4"))
+
+    def test_other_universe_refused(self):
+        # a set over a larger universe must not be read as a mask of [6]
+        u7 = uni(7)
+        with pytest.raises(UniverseMismatchError):
+            is_closed(EQ38, aset(u7, "2 5"))
+        with pytest.raises(UniverseMismatchError):
+            entails(EQ38, imp(u7, "2 6 -> 7"))
 
     def test_entails_matches_model_oracle(self):
         for case in range(30):
@@ -291,3 +313,36 @@ class TestClosureAxioms:
                 assert c.of_mask(cm) == cm
                 for p in range(n):
                     assert cm & ~c.of_mask(m | 1 << p) == 0
+
+
+class TestCompileOnce:
+    def test_kernel_shared_memo_not(self):
+        s = sig(U6, "3 -> 5", "1 5 -> 4")
+        for layout in ("row", "column"):
+            c1 = Closure.from_sigma(s, layout)
+            c1.of_mask(aset(U6, "3").mask)
+            c2 = Closure.from_sigma(s, layout)
+            assert c2._fn is c1._fn
+            assert c2._memo == {} and c1._memo
+        assert Closure.from_sigma(s)._fn is Closure.from_sigma(s, "column")._fn
+        assert Closure.from_sigma(s, "row")._fn is not Closure.from_sigma(s, "column")._fn
+        f1 = Closure.from_family(EQ25_MF)
+        f1.of_mask(0)
+        f2 = Closure.from_family(EQ25_MF)
+        assert f2._fn is f1._fn and f2._memo == {}
+
+    def test_cache_invisible_in_value(self):
+        fresh_s = sig(U6, "3 -> 5", "1 5 -> 4", "6 -> 3")
+        fresh_f = fam(U6, "1 3 4 5", "2 5", "-")
+        for fresh, build in ((fresh_s, Closure.from_sigma), (fresh_f, Closure.from_family)):
+            before = (hash(fresh), repr(fresh), pickle.dumps(fresh))
+            twin = pickle.loads(before[2])
+            build(fresh).of_mask(0)
+            assert fresh._compiled is not None and twin._compiled is None
+            assert fresh == twin and hash(fresh) == before[0]
+            assert repr(fresh) == before[1]
+            after = pickle.dumps(fresh)
+            assert len(after) == len(before[2])
+            for back in (pickle.loads(after), copy.deepcopy(fresh)):
+                assert back == fresh and back._compiled is None
+                assert build(back).of_mask(0) == build(fresh).of_mask(0)
