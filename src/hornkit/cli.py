@@ -48,10 +48,10 @@ def _load_gamma(args, universe: Universe) -> SetFamily:
     return fam
 
 
-def _element(args, universe: Universe) -> int:
-    pos = universe.index.get(args.element)
+def _element(label: str, universe: Universe) -> int:
+    pos = universe.index.get(label)
     if pos is None:
-        raise HornkitError(f"unknown element {args.element!r}")
+        raise HornkitError(f"unknown element {label!r}")
     return pos
 
 
@@ -182,7 +182,7 @@ def _cmd_acyclic(args) -> None:
 def _cmd_meetirr(args) -> None:
     universe, source = _load_source(args)
     if args.element is not None:
-        _print_family(dualize.max_noncovers(source, _element(args, universe)))
+        _print_family(dualize.max_noncovers(source, _element(args.element, universe)))
         return
     _print_family(dualize.meet_irreducibles(source, method=args.method))
 
@@ -192,11 +192,11 @@ def _cmd_stems(args) -> None:
     if args.element is not None and args.via_dualization:
         if not isinstance(source, SetFamily):
             raise HornkitError("--via-dualization needs a --family input")
-        _print_family(dualize.stems_from_meetirr(source, _element(args, universe)))
+        _print_family(dualize.stems_from_meetirr(source, _element(args.element, universe)))
         return
     table = direct.stem_table(source)
     if args.element is not None:
-        _print_family(table.stems_of[_element(args, universe)])
+        _print_family(table.stems_of[_element(args.element, universe)])
         return
     for pos in range(universe.size):
         for stem in table.stems_of[pos].canonical():
@@ -207,19 +207,12 @@ def _cmd_dualize(args) -> None:
     if args.cmax_of is not None:
         universe, source = _load_source(args)
         table = direct.stem_table(source)
-        _print_family(dualize.cmax_from_stems(table, _element_named(args.cmax_of, universe)))
+        _print_family(dualize.cmax_from_stems(table, _element(args.cmax_of, universe)))
         return
     if not args.family:
         raise HornkitError("dualize needs a --family input")
     universe, fam = core.load_family(_read(args.family))
     _print_family(dualize.minimal_transversals(fam))
-
-
-def _element_named(label: str, universe: Universe) -> int:
-    pos = universe.index.get(label)
-    if pos is None:
-        raise HornkitError(f"unknown element {label!r}")
-    return pos
 
 
 def _cmd_keys(args) -> None:

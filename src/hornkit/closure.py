@@ -297,26 +297,30 @@ def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
     """Yield every closed set exactly once, in lectic order.
 
     Lectic order is taken on positions with the smallest position most
-    significant (the usual NextClosure convention).
+    significant (the usual NextClosure convention). The loop calls the
+    kernel directly: each set is closed once, so a memo would never hit.
     """
     c = Closure.wrap(source)
+    kernel = c._fn
     n = c.universe.size
-    cur = c.of_mask(0)
+    cur = kernel(0)
     while True:
         yield AttrSet(c.universe, cur)
-        nxt = _next_closed(c, n, cur)
+        nxt = _next_closed(kernel, n, cur)
         if nxt is None:
             return
         cur = nxt
 
 
-def _next_closed(c: Closure, n: int, mask: int) -> int | None:
+def _next_closed(close: Callable[[int], int], n: int, mask: int) -> int | None:
+    """The lectically next set closed under ``close`` after the closed
+    ``mask``, or None when ``mask`` is the last one."""
     for i in range(n - 1, -1, -1):
         bit = 1 << i
         if mask & bit:
             mask &= ~bit
         else:
-            closed = c.of_mask(mask | bit)
+            closed = close(mask | bit)
             if (closed & ~mask) & (bit - 1) == 0:
                 return closed
     return None

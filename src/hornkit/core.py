@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ParseError, UniverseMismatchError
+from .errors import InvariantError, ParseError, UniverseMismatchError
 
 #: labels that would collide with the text format
 _RESERVED = ("->", "-")
@@ -49,6 +49,31 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def extreme_masks(masks: Iterable[int], maximal: bool = False) -> list[int]:
+    """The inclusion-minimal distinct masks (inclusion-maximal with
+    ``maximal=True``), by ascending (descending) cardinality.
+
+    Only a mask of smaller (larger) cardinality can lie inside (around)
+    another, so one pass against the masks kept so far suffices.
+    """
+    kept: list[int] = []
+    if maximal:
+        for m in sorted(set(masks), key=int.bit_count, reverse=True):
+            for k in kept:
+                if not m & ~k:
+                    break
+            else:
+                kept.append(m)
+    else:
+        for m in sorted(set(masks), key=int.bit_count):
+            for k in kept:
+                if not k & ~m:
+                    break
+            else:
+                kept.append(m)
+    return kept
 
 
 class Universe:
@@ -286,23 +311,15 @@ class SetFamily:
 
     def minimize(self) -> SetFamily:
         """Keep inclusion-minimal members only (canonical order)."""
-        ms = sorted(set(self.masks()), key=lambda m: m.bit_count())
-        kept: list[int] = []
-        for m in ms:
-            if not any(k & ~m == 0 for k in kept):
-                kept.append(m)
-        fam = SetFamily(self.universe, tuple(AttrSet(self.universe, m) for m in kept))
-        return fam.canonical()
+        return self._from_masks(extreme_masks(self.masks()))
 
     def maximize(self) -> SetFamily:
         """Keep inclusion-maximal members only (canonical order)."""
-        ms = sorted(set(self.masks()), key=lambda m: -m.bit_count())
-        kept: list[int] = []
-        for m in ms:
-            if not any(m & ~k == 0 for k in kept):
-                kept.append(m)
-        fam = SetFamily(self.universe, tuple(AttrSet(self.universe, m) for m in kept))
-        return fam.canonical()
+        return self._from_masks(extreme_masks(self.masks(), maximal=True))
+
+    def _from_masks(self, masks: list[int]) -> SetFamily:
+        u = self.universe
+        return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
 
     def render(self) -> str:
         return "\n".join(s.render() or "-" for s in self.sets)
@@ -318,7 +335,8 @@ class MeasureReport:
     rhs: int
 
     def __post_init__(self) -> None:
-        assert self.s == self.lhs + self.rhs
+        if self.s != self.lhs + self.rhs:
+            raise InvariantError(f"s={self.s} is not lhs+rhs={self.lhs + self.rhs}")
 
 
 # -- parsing ---------------------------------------------------------------

@@ -11,89 +11,42 @@ from .core import (
     AttrSet,
     Implication,
     ImplicationSet,
-    SetFamily,
     Universe,
     bits,
     exhaustive_bound,
 )
-from .errors import BoundExceededError, NotDirectError, UniverseMismatchError
+from .dualize import StemTable
+from .errors import (
+    BoundExceededError,
+    InvariantError,
+    NotDirectError,
+    UniverseMismatchError,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class StemTable:
-    """stems(e) per element and roots(U) per stem."""
-
-    universe: Universe
-    stems_of: dict[int, SetFamily]  # position -> antichain of stems
-    roots_of: dict[AttrSet, AttrSet]  # stem -> its roots
-
-    def stems(self, e: int) -> SetFamily:
-        return self.stems_of[e]
-
-    def roots(self, stem: AttrSet) -> AttrSet:
-        return self.roots_of[stem]
-
-    def all_stems(self) -> SetFamily:
-        fam = SetFamily(self.universe, tuple(self.roots_of))
-        return fam.canonical()
-
-
-def _search_ground(source: ClosureSource, universe: Universe) -> int:
+def _search_ground(source: ClosureSource) -> int:
     # elements never occurring in a premise are inert, so stems avoid them
     if isinstance(source, ImplicationSet):
         ground = 0
         for imp in source:
             ground |= imp.premise.mask
         return ground
-    return universe.full_mask
+    return source.universe.full_mask
 
 
 def stem_table(source: ClosureSource, bound: int | None = None) -> StemTable:
-    """All stems and roots, by cardinality-ascending minimal-subset search.
+    """All stems and roots, by dualization: stems(e) = mtr(cmax(F,e)) \\ {e}.
 
-    The search runs over subsets of the premise elements (the full universe
-    for family-given operators) and refuses above the exhaustive bound.
+    Refuses when the premise elements (the full universe for family-given
+    operators) outnumber the exhaustive bound.
     """
-    c = Closure.wrap(source)
-    u = c.universe
-    ground = _search_ground(source, u)
+    ground = _search_ground(source)
     limit = exhaustive_bound() if bound is None else bound
     if ground.bit_count() > limit:
         raise BoundExceededError(
             f"stem search over {ground.bit_count()} premise elements (bound {limit})"
         )
-    subs = sorted(_all_submasks(ground), key=lambda m: m.bit_count())
-    stems_by_root: dict[int, list[int]] = {p: [] for p in range(u.size)}
-    roots_by_stem: dict[int, int] = {}
-    for mask in subs:
-        cl = c.of_mask(mask)
-        new_roots = cl & ~mask
-        if not new_roots:
-            continue
-        for e in bits(new_roots):
-            if any(s & ~mask == 0 for s in stems_by_root[e]):
-                continue  # a smaller stem for e already sits inside mask
-            stems_by_root[e].append(mask)
-            roots_by_stem[mask] = roots_by_stem.get(mask, 0) | 1 << e
-    stems_of = {
-        e: SetFamily(u, tuple(AttrSet(u, m) for m in ms)).canonical()
-        for e, ms in stems_by_root.items()
-    }
-    roots_of = {
-        AttrSet(u, m): AttrSet(u, r)
-        for m, r in sorted(roots_by_stem.items(), key=lambda kv: AttrSet(u, kv[0]).key())
-    }
-    return StemTable(universe=u, stems_of=stems_of, roots_of=roots_of)
-
-
-def _all_submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
+    return StemTable.of(source)
 
 
 def canonical_direct(source: ClosureSource, bound: int | None = None) -> ImplicationSet:
@@ -148,7 +101,8 @@ class OrderedBase:
 
     def __post_init__(self) -> None:
         for imp in self.items[: self.binary_count]:
-            assert len(imp.premise) <= 1
+            if len(imp.premise) > 1:
+                raise InvariantError(f"binary prefix holds {imp.render()}")
 
     def binary_part(self) -> tuple[Implication, ...]:
         return self.items[: self.binary_count]
@@ -171,7 +125,7 @@ def d_basis(source: ClosureSource, bound: int | None = None) -> OrderedBase:
     """
     c = Closure.wrap(source)
     u = c.universe
-    table = stem_table(c, bound)
+    table = stem_table(source, bound)
 
     # strictly-smaller relation from singleton closures
     singles = [c.of_mask(1 << p) for p in range(u.size)]

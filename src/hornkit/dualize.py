@@ -1,5 +1,6 @@
 """Minimal transversals of simple hypergraphs, max(F,e) / cmax(F,e), the
-stem <-> meet-irreducible bridges, M(F) extraction, and minimal keys.
+stem table built from them, the stem <-> meet-irreducible bridges, M(F)
+extraction, and minimal keys.
 """
 
 from __future__ import annotations
@@ -7,55 +8,136 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .closure import enumerate_closed_lectic
-from .core import AttrSet, ImplicationSet, SetFamily, Universe, bits
-from .direct import StemTable
+from .closure import ClosureSource, enumerate_closed_lectic
+from .core import AttrSet, ImplicationSet, SetFamily, Universe, bits, extreme_masks
 from .errors import UniverseMismatchError
 from .rows import enumerate_compact, to_012
 
 
-def _minimize_masks(masks: list[int]) -> list[int]:
-    out: list[int] = []
-    for m in sorted(set(masks), key=lambda m: m.bit_count()):
-        if not any(k & ~m == 0 for k in out):
-            out.append(m)
-    return out
+def _transversal_masks(edges: list[int]) -> list[int]:
+    """Minimal transversals of nonempty edges, by Berge multiplication
+    with incremental minimality.
 
-
-def _maximize_masks(masks: list[int]) -> list[int]:
-    out: list[int] = []
-    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
-        if not any(m & ~k == 0 for k in out):
-            out.append(m)
-    return out
+    Of the transversals t of the edges so far, those hitting the next edge
+    stay minimal; each missing one grows by one edge element x, and t | x
+    is minimal unless some hitting transversal through x lies inside it.
+    """
+    trs = [0]
+    for edge in edges:
+        hit = []
+        miss = []
+        for t in trs:
+            if t & edge:
+                hit.append(t)
+            else:
+                miss.append(t)
+        if not miss:
+            continue
+        trs = hit.copy()
+        for x in bits(edge):
+            bit = 1 << x
+            blockers = [k ^ bit for k in hit if k & bit]
+            for t in miss:
+                for b in blockers:
+                    if not b & ~t:
+                        break
+                else:
+                    trs.append(t | bit)
+    return trs
 
 
 def minimal_transversals(h: SetFamily) -> SetFamily:
-    """The antichain of minimal hitting sets, by Berge multiplication with
-    per-edge minimization. Non-antichain inputs are minimized first.
+    """The antichain of minimal hitting sets, by Berge multiplication.
+    Non-antichain inputs are minimized first.
 
     Conventions: mtr of the empty hypergraph is {∅}; an empty edge admits no
     transversal at all.
     """
     u = h.universe
-    edges = _minimize_masks(h.masks())
+    edges = extreme_masks(h.masks())
     if 0 in edges:
         return SetFamily(u, ())
-    trs = [0]
-    for edge in edges:
-        nxt = []
-        for t in trs:
-            if t & edge:
-                nxt.append(t)
-            else:
-                for x in bits(edge):
-                    nxt.append(t | 1 << x)
-        trs = _minimize_masks(nxt)
-    fam = SetFamily(u, tuple(AttrSet(u, m) for m in trs))
-    return fam.canonical()
+    trs = _transversal_masks(edges)
+    return SetFamily(u, tuple(AttrSet(u, m) for m in trs)).canonical()
 
 
 ClosedSource = Union[ImplicationSet, SetFamily]
+
+
+def _row_tops(source: ClosureSource) -> list[tuple[int, int]]:
+    """(forced, top) pairs whose tops, less e, include max(F,e) for every e.
+
+    A family lists its members (forced = top = member); an implication
+    family lists the bubble-free 012 rows of F(sigma), where the largest
+    member of a row avoiding e is its top less e unless the row forces e;
+    a bare operator lists its closed sets.
+    """
+    if isinstance(source, ImplicationSet):
+        rows = to_012(enumerate_compact(source)).rows
+        return [(r.ones, r.ones | r.free) for r in rows]
+    if isinstance(source, SetFamily):
+        return [(m, m) for m in source.masks()]
+    return [(s.mask, s.mask) for s in enumerate_closed_lectic(source)]
+
+
+def _max_avoiding(tops: list[tuple[int, int]], e: int) -> list[int]:
+    bit = 1 << e
+    return extreme_masks(
+        [top & ~bit for forced, top in tops if not forced & bit], maximal=True
+    )
+
+
+def _stem_masks(tops: list[tuple[int, int]], e: int, full: int) -> list[int]:
+    """stems(e) = mtr(cmax(F,e)) less {e}.
+
+    Every edge of cmax(F,e) contains e, so dropping e from each edge leaves
+    exactly the transversals other than {e}; an edge that was just {e}
+    (E less e is closed) leaves no stem at all.
+    """
+    edges = [full & ~m & ~(1 << e) for m in _max_avoiding(tops, e)]
+    if 0 in edges:
+        return []
+    return _transversal_masks(edges)
+
+
+@dataclass(frozen=True, slots=True)
+class StemTable:
+    """stems(e) per element and roots(U) per stem."""
+
+    universe: Universe
+    stems_of: dict[int, SetFamily]  # position -> antichain of stems
+    roots_of: dict[AttrSet, AttrSet]  # stem -> its roots
+
+    def stems(self, e: int) -> SetFamily:
+        return self.stems_of[e]
+
+    def roots(self, stem: AttrSet) -> AttrSet:
+        return self.roots_of[stem]
+
+    def all_stems(self) -> SetFamily:
+        fam = SetFamily(self.universe, tuple(self.roots_of))
+        return fam.canonical()
+
+    @classmethod
+    def of(cls, source: ClosureSource) -> StemTable:
+        """All stems and roots, as stems(e) = mtr(cmax(F,e)) less {e}, with
+        max(F,e) read off the 012 rows, the family, or the closed sets."""
+        u = source.universe
+        tops = _row_tops(source)
+        stems_of: dict[int, SetFamily] = {}
+        roots_by_stem: dict[int, int] = {}
+        for e in range(u.size):
+            ms = _stem_masks(tops, e, u.full_mask)
+            for m in ms:
+                roots_by_stem[m] = roots_by_stem.get(m, 0) | 1 << e
+            stems_of[e] = SetFamily(u, tuple(AttrSet(u, m) for m in ms)).canonical()
+        roots_of = {
+            AttrSet(u, m): AttrSet(u, r)
+            for m, r in sorted(
+                roots_by_stem.items(), key=lambda kv: AttrSet(u, kv[0]).key()
+            )
+        }
+        return cls(universe=u, stems_of=stems_of, roots_of=roots_of)
 
 
 def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
@@ -68,18 +150,7 @@ def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
     u = source.universe
     if not 0 <= e < u.size:
         raise UniverseMismatchError(f"element position {e} outside universe")
-    bit = 1 << e
-    if isinstance(source, SetFamily):
-        avoid = [m for m in source.masks() if not m & bit]
-    else:
-        # per 012-row the unique row-maximal member avoiding e; rows that
-        # force e contribute nothing
-        avoid = []
-        for row in to_012(enumerate_compact(source)).rows:
-            if row.ones & bit:
-                continue
-            avoid.append((row.ones | row.free) & ~bit)
-    out = _maximize_masks(avoid)
+    out = _max_avoiding(_row_tops(source), e)
     return SetFamily(u, tuple(AttrSet(u, m) for m in out)).canonical()
 
 
@@ -94,27 +165,16 @@ class MaxNonCover:
 
 def max_noncover_table(source: ClosedSource) -> MaxNonCover:
     u = source.universe
+    tops = _row_tops(source)
     max_of: dict[int, SetFamily] = {}
     cmax_of: dict[int, SetFamily] = {}
-    if isinstance(source, ImplicationSet):
-        rowmax = _rowmax_row_pairs(source)
     for e in range(u.size):
-        if isinstance(source, SetFamily):
-            fam = max_noncovers(source, e)
-        else:
-            bit = 1 << e
-            avoid = [m & ~bit for ones, m in rowmax if not ones & bit]
-            fam = SetFamily(
-                u, tuple(AttrSet(u, x) for x in _maximize_masks(avoid))
-            ).canonical()
+        fam = SetFamily(
+            u, tuple(AttrSet(u, m) for m in _max_avoiding(tops, e))
+        ).canonical()
         max_of[e] = fam
         cmax_of[e] = SetFamily(u, tuple(s.complement() for s in fam)).canonical()
     return MaxNonCover(universe=u, max_of=max_of, cmax_of=cmax_of)
-
-
-def _rowmax_row_pairs(sigma: ImplicationSet) -> list[tuple[int, int]]:
-    rows = to_012(enumerate_compact(sigma)).rows
-    return [(r.ones, r.ones | r.free) for r in rows]
 
 
 def meet_irreducibles(source: ClosedSource, method: str = "rows") -> SetFamily:
@@ -160,12 +220,10 @@ def stems_from_meetirr(m: SetFamily, e: int) -> SetFamily:
     Also covers elements of ⋂F, for which the answer is {∅}.
     """
     u = m.universe
-    mx = max_noncovers(m, e)
-    cmax = SetFamily(u, tuple(s.complement() for s in mx))
-    trans = minimal_transversals(cmax)
-    bit = 1 << e
-    keep = tuple(s for s in trans if s.mask != bit)
-    return SetFamily(u, keep).canonical()
+    if not 0 <= e < u.size:
+        raise UniverseMismatchError(f"element position {e} outside universe")
+    ms = _stem_masks(_row_tops(m), e, u.full_mask)
+    return SetFamily(u, tuple(AttrSet(u, s) for s in ms)).canonical()
 
 
 def cmax_from_stems(table: StemTable, e: int) -> SetFamily:

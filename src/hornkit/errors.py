@@ -23,3 +23,7 @@ class NotAcyclicError(HornkitError):
 
 class NotDirectError(HornkitError):
     """A one-pass ordered closure did not reach the true closure."""
+
+
+class InvariantError(HornkitError):
+    """A value was built that breaks its type's structural invariant."""

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .canonical import remove_redundancy
 from .closure import Closure
 from .core import AttrSet, Implication, ImplicationSet, Universe, bits, unit_expand
+from .dualize import StemTable
 from .errors import HornkitError, NotAcyclicError, UniverseMismatchError
 
 
@@ -132,8 +133,15 @@ def consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
 
 
 def unit_primes(sigma: ImplicationSet) -> ImplicationSet:
-    """All unit prime implicates of sigma's operator, via consensus."""
-    return implications_of(consensus_closure(clauses_of(sigma)), sigma.universe)
+    """All unit prime implicates of sigma's operator: stem -> e for each
+    stem and each of its roots, the clauses consensus_closure would reach
+    from sigma's, in the same order.
+    """
+    table = StemTable.of(sigma)
+    clauses = [
+        HornClause(stem, e) for stem, roots in table.roots_of.items() for e in roots
+    ]
+    return implications_of(clauses, sigma.universe)
 
 
 def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) -> bool:
@@ -175,35 +183,34 @@ class ImplicationGraph:
         return cls(sigma.universe, tuple(succ))
 
     def find_cycle(self) -> tuple[int, ...] | None:
-        """A directed cycle as a position walk (first == last), or None."""
+        """A directed cycle as a position walk (first == last), or None.
+
+        Depth-first search with an explicit stack, so long chains need no
+        recursion.
+        """
         n = self.universe.size
-        color = [0] * n  # 0 new, 1 on stack, 2 done
-        parent: dict[int, int] = {}
-
-        def dfs(v: int) -> tuple[int, ...] | None:
-            color[v] = 1
-            for w in bits(self.succ[v]):
+        color = [0] * n  # 0 new, 1 on the path, 2 done
+        for root in range(n):
+            if color[root]:
+                continue
+            color[root] = 1
+            path = [root]
+            todo = [self.succ[root]]  # successors of path[i] not yet tried
+            while path:
+                rest = todo[-1]
+                if not rest:
+                    color[path.pop()] = 2
+                    todo.pop()
+                    continue
+                low = rest & -rest
+                todo[-1] = rest ^ low
+                w = low.bit_length() - 1
                 if color[w] == 1:
-                    walk = [w, v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        walk.append(x)
-                    walk.reverse()
-                    return tuple(walk)
+                    return tuple(path[path.index(w):]) + (w,)
                 if color[w] == 0:
-                    parent[w] = v
-                    found = dfs(w)
-                    if found:
-                        return found
-            color[v] = 2
-            return None
-
-        for v in range(n):
-            if color[v] == 0:
-                found = dfs(v)
-                if found:
-                    return found
+                    color[w] = 1
+                    path.append(w)
+                    todo.append(self.succ[w])
         return None
 
     def reachable_from(self, a: int) -> int:

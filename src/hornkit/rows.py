@@ -18,7 +18,7 @@ from .core import (
     bits,
     submasks,
 )
-from .errors import UniverseMismatchError
+from .errors import InvariantError, UniverseMismatchError
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,13 +36,18 @@ class Row012n:
     bubbles: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        full = self.universe.full_mask
-        acc = 0
-        for part in (self.ones, self.zeros, self.free, *self.bubbles):
-            assert part & ~full == 0 and acc & part == 0
-            acc |= part
-        assert acc == full
-        assert all(b.bit_count() >= 2 for b in self.bubbles)
+        # the parts cover the universe, and their sizes add up to its size
+        # only when no two of them overlap
+        acc = self.ones | self.zeros | self.free
+        size = self.ones.bit_count() + self.zeros.bit_count() + self.free.bit_count()
+        for b in self.bubbles:
+            k = b.bit_count()
+            if k < 2:
+                raise InvariantError("a bubble needs at least two positions")
+            acc |= b
+            size += k
+        if acc != self.universe.full_mask or size != self.universe.size:
+            raise InvariantError("row masks do not partition the universe")
 
     def count(self) -> int:
         """Number of subsets: a k-position bubble contributes 2^k - 1."""

@@ -5,6 +5,7 @@ from hornkit import (
     Closure,
     Implication,
     ImplicationSet,
+    SetFamily,
     equivalent,
     gd_base,
     is_minimum,
@@ -27,6 +28,7 @@ from conftest import (
     brute_closed_masks,
     brute_pseudoclosed,
     fam,
+    imp,
     pairs,
     rand_sigma,
     rng_for,
@@ -80,6 +82,24 @@ class TestPseudoclosed:
             want = brute_pseudoclosed(n, closed)
             got = {p.mask for p in pseudoclosed_sets(s).pseudoclosed}
             assert got == want
+
+
+    def test_matches_oracle_on_every_source_kind(self):
+        # the same NextClosure loop serves implication, family and bare
+        # operator sources; implication sources reach n = 8-11 here
+        for case in range(12):
+            rng = rng_for(8500 + case)
+            n = 8 + case % 4
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            closed = brute_closed_masks(n, s)
+            want = brute_pseudoclosed(n, closed)
+            c = Closure.from_sigma(s)
+            family = SetFamily(u, tuple(u.from_mask(m) for m in closed))
+            for source in (s, family, c):
+                got = {p.mask for p in pseudoclosed_sets(source).pseudoclosed}
+                assert got == want
+            assert c._memo == {}  # the loop calls the kernel, not the memo
 
 
 class TestGdBase:
@@ -191,6 +211,14 @@ class TestIsMinimum:
 
     def test_empty_is_minimum(self):
         assert is_minimum(ImplicationSet(uni(3), ()))
+
+    def test_no_size_bound(self, monkeypatch):
+        # Shock's base is polynomial, so no exhaustive bound applies
+        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
+        u = uni(30)
+        chain = tuple(imp(u, f"{i} -> {i + 1}") for i in range(1, 30))
+        assert is_minimum(ImplicationSet(u, chain))
+        assert not is_minimum(ImplicationSet(u, chain + (imp(u, "1 -> 3"),)))
 
     def test_gd_size_lower_bounds_all_bases(self):
         for case in range(15):

@@ -3,7 +3,10 @@ import pytest
 from hornkit import (
     Implication,
     ImplicationSet,
+    InvariantError,
+    MeasureReport,
     ParseError,
+    SetFamily,
     UniverseMismatchError,
     aggregate,
     load_family,
@@ -117,6 +120,10 @@ class TestMeasures:
     def test_direct_base_count(self):
         assert measures(EQ27_CD).ca == 7
 
+    def test_size_must_add_up(self):
+        with pytest.raises(InvariantError):
+            MeasureReport(ca=1, s=3, lhs=1, rhs=1)
+
 
 class TestUnitExpandAggregate:
     def test_unit_expand_splits_conclusions(self):
@@ -180,3 +187,17 @@ class TestNormalize:
         u = uni(3)
         s = sig(u, "2 -> 3", "1 -> 2", "2 -> 3")
         assert [i.render() for i in normalize(s)] == ["2 -> 3", "1 -> 2"]
+
+
+class TestExtremeMembers:
+    def test_minimize_and_maximize_match_definition(self):
+        for case in range(25):
+            rng = rng_for(1500 + case)
+            u = uni(6)
+            ms = [rng.getrandbits(6) for _ in range(rng.randint(0, 12))]
+            fam = SetFamily(u, tuple(u.from_mask(m) for m in ms))
+            lows = {m for m in ms if not any(k != m and k & ~m == 0 for k in ms)}
+            highs = {m for m in ms if not any(k != m and m & ~k == 0 for k in ms)}
+            assert fam.minimize().as_mask_set() == lows
+            assert fam.maximize().as_mask_set() == highs
+            assert fam.maximize() == fam.maximize().canonical()

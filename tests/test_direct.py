@@ -3,8 +3,10 @@ import pytest
 from hornkit import (
     Closure,
     ImplicationSet,
+    InvariantError,
     NotDirectError,
     OrderedBase,
+    SetFamily,
     canonical_direct,
     classify_stems,
     close,
@@ -75,6 +77,24 @@ class TestStemTable:
             t = stem_table(s)
             for e in range(n):
                 assert stems_as_masks(t, e) == want[e]
+
+    def test_matches_oracle_on_every_source_kind(self):
+        # max(F,e) comes from the 012 rows, the family members, or the
+        # closed sets of a bare operator; implication sources reach n = 8-11
+        for case in range(12):
+            rng = rng_for(14500 + case)
+            n = 8 + case % 4
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            closed = brute_closed_masks(n, s)
+            want = brute_stems(n, closed)
+            c = Closure.from_sigma(s)
+            family = SetFamily(u, tuple(u.from_mask(m) for m in closed))
+            for source in (s, family, c):
+                t = stem_table(source)
+                for e in range(n):
+                    assert stems_as_masks(t, e) == want[e]
+            assert c._memo == {}
 
     def test_bound_refusal(self):
         from hornkit import BoundExceededError
@@ -230,6 +250,10 @@ class TestOrderedClose:
     def test_closed_input_unchanged(self):
         db = d_basis(EQ35_DB)
         assert ordered_close(db, aset(U6, "1")) == aset(U6, "1")
+
+    def test_binary_prefix_enforced(self):
+        with pytest.raises(InvariantError):
+            OrderedBase(universe=U6, items=EQ35_DB.items, binary_count=6)
 
     def test_verify_flag_raises_on_bad_ordering(self):
         u = uni(3)

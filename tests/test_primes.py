@@ -98,6 +98,24 @@ class TestConsensus:
             consensus_closure([HornClause(negatives=aset(U6, "1"), positive=None)])
 
 
+class TestUnitPrimes:
+    def test_worked_family(self):
+        assert pairs(unit_primes(EQ38)) == pairs(L6_PRIMES)
+
+    def test_matches_brute_primes(self):
+        for case in range(20):
+            rng = rng_for(21500 + case)
+            n = rng.randint(2, 10)
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            want = brute_unit_primes(n, brute_closed_masks(n, s))
+            got = unit_primes(s)
+            assert {(i.premise.mask, i.conclusion.mask) for i in got} == {
+                (prem, 1 << e) for prem, e in want
+            }
+            assert list(got) == sorted(got, key=lambda i: HornClause.from_implication(i).key())
+
+
 class TestIsPrimeImplicate:
     def test_weakening_of_binary_rule(self):
         u = uni(3)
@@ -139,6 +157,15 @@ class TestAcyclicity:
         assert not ok
         assert cycle[0] == cycle[-1]
         assert set(cycle) == {0, 1}
+
+    def test_long_cycle_without_recursion(self):
+        n = 3000
+        succ = tuple(1 << (a + 1) % n for a in range(n))
+        g = ImplicationGraph(uni(n), succ)
+        cycle = g.find_cycle()
+        assert cycle == tuple(range(n)) + (0,)
+        chain = ImplicationGraph(uni(n), succ[:-1] + (0,))
+        assert chain.find_cycle() is None
 
     def test_witness_is_a_real_walk(self):
         for case in range(20):

@@ -4,6 +4,7 @@ from hornkit import (
     HornSystem,
     Implication,
     ImplicationSet,
+    InvariantError,
     Row012n,
     RowSystem,
     SetFamily,
@@ -50,11 +51,11 @@ def full_cube(u):
 
 class TestRow012n:
     def test_partition_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             Row012n(U6, ones=1, zeros=1, free=0, bubbles=())
 
     def test_bubble_needs_two_positions(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             row(U6, ones="2 3", zeros="4 5 6", bubbles=("1",))
 
     def test_count_arithmetic(self):
