@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import Closure, ClosureSource, _close_rowwise, _next_closed
+from .closure import Closure, ClosureSource, _close_rowwise
 from .core import (
     AttrSet,
     Implication,
@@ -15,6 +15,7 @@ from .core import (
     exhaustive_bound,
     normalize,
 )
+from .dualize import StemTable
 from .errors import BoundExceededError
 
 
@@ -26,67 +27,53 @@ class PseudoclosedReport:
     essential_closures: SetFamily
 
 
+def _gd_pairs(source: ClosureSource, bound: int | None) -> list[tuple[int, int]]:
+    """(P, c(P)) for every pseudoclosed P, by left-saturating a minimum base.
+
+    Shock's base of the source (sigma itself, or the canonical direct base
+    of a family or bare operator) is a nonredundant family of full
+    implications A -> c(A); closing each premise under the other
+    implications gives the pseudoclosed sets (Day 1992).
+    """
+    u = source.universe
+    limit = exhaustive_bound() if bound is None else bound
+    if u.size > limit:
+        raise BoundExceededError(
+            f"pseudoclosed scan over a {u.size}-element universe (bound {limit})"
+        )
+    if isinstance(source, ImplicationSet):
+        base = source
+    else:
+        base = StemTable.of(source).direct_base()
+    pairs = shock_minimize(base).mask_pairs()
+    out = []
+    for i, (prem, conc) in enumerate(pairs):
+        # leave rule i out: an empty rule (0, 0) never adds anything
+        pairs[i] = (0, 0)
+        out.append((_close_rowwise(pairs, prem), conc))
+        pairs[i] = (prem, conc)
+    return out
+
+
 def pseudoclosed_sets(
     source: ClosureSource, bound: int | None = None
 ) -> PseudoclosedReport:
-    """All pseudoclosed sets, by Ganter's NextClosure for pseudo-intents.
-
-    Walks, in lectic order, the sets closed under L•, where L holds the
-    pseudoclosed sets found so far: each such set is closed or
-    pseudoclosed, and it is pseudoclosed exactly when the operator does
-    not close it. Cost follows the number of closed plus pseudoclosed
-    sets, not 2^n.
-    """
-    # most sets the loop hands the operator are closed already, which the
-    # row kernel settles in one pass over the rules
-    c = Closure.wrap(source, layout="row")
-    u = c.universe
-    n = u.size
-    limit = exhaustive_bound() if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(
-            f"pseudoclosed scan over a {n}-element universe (bound {limit})"
-        )
-    kernel = c._fn
-    found: list[tuple[int, int]] = []  # (pseudoclosed mask, its closure)
-
-    def close_found(mask: int) -> int:
-        # L•: add c(P) for each found P strictly inside, to a fixpoint;
-        # a P once strictly inside stays so as the set grows
-        pending = found
-        while True:
-            new = mask
-            rest = []
-            for p, cp in pending:
-                if p & ~mask == 0 and p != mask:
-                    new |= cp
-                else:
-                    rest.append((p, cp))
-            if new == mask:
-                return mask
-            mask = new
-            pending = rest
-
-    cur: int | None = 0  # no pseudoclosed set is known yet, so ∅ is L•-closed
-    while cur is not None:
-        cl = kernel(cur)
-        if cl != cur:
-            found.append((cur, cl))
-        cur = _next_closed(close_found, n, cur)
-    pseudo = SetFamily(u, tuple(AttrSet(u, m) for m, _ in found)).canonical()
+    """All pseudoclosed sets: the left-saturated premises of Shock's
+    minimum base, polynomial in the size of an implication source."""
+    u = source.universe
+    found = _gd_pairs(source, bound)
+    pseudo = SetFamily(u, tuple(AttrSet(u, p) for p, _ in found)).canonical()
     essential = SetFamily(u, tuple(AttrSet(u, cl) for _, cl in found)).canonical()
     return PseudoclosedReport(pseudoclosed=pseudo, essential_closures=essential)
 
 
 def gd_base(source: ClosureSource, bound: int | None = None) -> ImplicationSet:
     """The canonical (Guigues-Duquenne) base {P -> c(P) : P pseudoclosed}."""
-    c = Closure.wrap(source)
-    report = pseudoclosed_sets(source, bound)
-    u = c.universe
+    u = source.universe
     items = tuple(
-        Implication(p, AttrSet(u, c.of_mask(p.mask))) for p in report.pseudoclosed
+        Implication(AttrSet(u, p), AttrSet(u, cl)) for p, cl in _gd_pairs(source, bound)
     )
-    return ImplicationSet(u, items)
+    return ImplicationSet(u, items).sorted()
 
 
 def remove_redundancy(sigma: ImplicationSet) -> ImplicationSet:

@@ -17,9 +17,10 @@ from .errors import HornkitError, UniverseMismatchError
 
 
 def _read(path: str) -> str:
+    # utf-8-sig also reads files that start with a byte-order mark
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise HornkitError(f"cannot read {path}: {exc}")
 
 
@@ -284,10 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, fn, **flags):
+    def add(name: str, fn):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "lines"), default="text")
         return p
 
     p = add("close", _cmd_close)
@@ -377,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sat", _cmd_sat)
     p.add_argument("--sigma", required=True)
     p.add_argument("--gamma")
+    p.add_argument("--format", choices=("text", "lines"), default="text")
 
     p = add("compress", _cmd_compress)
     p.add_argument("--sigma", required=True)

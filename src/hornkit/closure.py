@@ -171,11 +171,11 @@ class Closure:
         return cls(family.universe, fn)
 
     @classmethod
-    def wrap(cls, source: ClosureSource, layout: str = "auto") -> Closure:
+    def wrap(cls, source: ClosureSource) -> Closure:
         if isinstance(source, Closure):
             return source
         if isinstance(source, ImplicationSet):
-            return cls.from_sigma(source, layout)
+            return cls.from_sigma(source)
         if isinstance(source, SetFamily):
             return cls.from_family(source)
         raise TypeError(f"not a closure source: {source!r}")
@@ -306,21 +306,16 @@ def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
     cur = kernel(0)
     while True:
         yield AttrSet(c.universe, cur)
-        nxt = _next_closed(kernel, n, cur)
-        if nxt is None:
-            return
-        cur = nxt
-
-
-def _next_closed(close: Callable[[int], int], n: int, mask: int) -> int | None:
-    """The lectically next set closed under ``close`` after the closed
-    ``mask``, or None when ``mask`` is the last one."""
-    for i in range(n - 1, -1, -1):
-        bit = 1 << i
-        if mask & bit:
-            mask &= ~bit
+        # the next closed set: drop trailing elements until adding one
+        # closes to a set that adds nothing before it
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if cur & bit:
+                cur &= ~bit
+            else:
+                closed = kernel(cur | bit)
+                if (closed & ~cur) & (bit - 1) == 0:
+                    cur = closed
+                    break
         else:
-            closed = close(mask | bit)
-            if (closed & ~mask) & (bit - 1) == 0:
-                return closed
-    return None
+            return

@@ -14,9 +14,6 @@ from typing import Iterable, Iterator
 
 from .errors import InvariantError, ParseError, UniverseMismatchError
 
-#: labels that would collide with the text format
-_RESERVED = ("->", "-")
-
 _HEADER = "elements:"
 
 DEFAULT_EXHAUSTIVE_BOUND = 20
@@ -87,7 +84,9 @@ class Universe:
             raise ParseError("empty universe declaration")
         index: dict[str, int] = {}
         for pos, lab in enumerate(labels):
-            if not lab or lab in _RESERVED or "#" in lab:
+            # "-" is the empty set, "->" splits implication lines, "#" starts
+            # a comment
+            if not lab or lab == "-" or "->" in lab or "#" in lab:
                 raise ParseError(f"illegal label {lab!r}")
             if lab in index:
                 raise ParseError(f"duplicate label {lab!r}")

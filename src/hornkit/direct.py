@@ -54,11 +54,7 @@ def canonical_direct(source: ClosureSource, bound: int | None = None) -> Implica
 
     One forward-chaining step on it already reaches the closure.
     """
-    table = stem_table(source, bound)
-    items = tuple(
-        Implication(stem, roots) for stem, roots in table.roots_of.items()
-    )
-    return ImplicationSet(table.universe, items)
+    return stem_table(source, bound).direct_base()
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,15 @@ from dataclasses import dataclass
 from typing import Union
 
 from .closure import ClosureSource, enumerate_closed_lectic
-from .core import AttrSet, ImplicationSet, SetFamily, Universe, bits, extreme_masks
+from .core import (
+    AttrSet,
+    Implication,
+    ImplicationSet,
+    SetFamily,
+    Universe,
+    bits,
+    extreme_masks,
+)
 from .errors import UniverseMismatchError
 from .rows import enumerate_compact, to_012
 
@@ -117,6 +125,11 @@ class StemTable:
     def all_stems(self) -> SetFamily:
         fam = SetFamily(self.universe, tuple(self.roots_of))
         return fam.canonical()
+
+    def direct_base(self) -> ImplicationSet:
+        """The canonical direct base {X -> roots(X) : X a stem}."""
+        items = tuple(Implication(stem, roots) for stem, roots in self.roots_of.items())
+        return ImplicationSet(self.universe, items)
 
     @classmethod
     def of(cls, source: ClosureSource) -> StemTable:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canonical import shock_minimize
+from . import canonical
 from .closure import Closure
 from .core import (
     AttrSet,
@@ -346,9 +346,9 @@ def near_minimum_base(h: HornSystem) -> HornSystem:
     """
     u = h.universe
     if not h.gamma.sets:
-        return HornSystem(shock_minimize(h.sigma), SetFamily(u, ()))
+        return HornSystem(canonical.shock_minimize(h.sigma), SetFamily(u, ()))
     full = u.full()
     lift = tuple(Implication(aset, full) for aset in h.gamma)
     base_bottom = ImplicationSet(u, h.sigma.items + lift)
-    sigma0 = shock_minimize(base_bottom)
+    sigma0 = canonical.shock_minimize(base_bottom)
     return HornSystem(sigma0, SetFamily(u, (full,)))

@@ -26,10 +26,13 @@ from conftest import (
     SHOCK_MIN,
     U6,
     brute_closed_masks,
+    brute_family_closed,
     brute_pseudoclosed,
     fam,
     imp,
+    oracle_close,
     pairs,
+    rand_family,
     rand_sigma,
     rng_for,
     sig,
@@ -85,8 +88,9 @@ class TestPseudoclosed:
 
 
     def test_matches_oracle_on_every_source_kind(self):
-        # the same NextClosure loop serves implication, family and bare
-        # operator sources; implication sources reach n = 8-11 here
+        # one left-saturation engine serves implication, family and bare
+        # operator sources (the last two through their canonical direct
+        # base); implication sources reach n = 8-11 here
         for case in range(12):
             rng = rng_for(8500 + case)
             n = 8 + case % 4
@@ -100,6 +104,73 @@ class TestPseudoclosed:
                 got = {p.mask for p in pseudoclosed_sets(source).pseudoclosed}
                 assert got == want
             assert c._memo == {}  # the loop calls the kernel, not the memo
+
+
+def _check_against_oracle(source, n, closed):
+    """pseudoclosed_sets and gd_base agree with the brute-force oracles."""
+    want = brute_pseudoclosed(n, closed)
+    full = (1 << n) - 1
+    rep = pseudoclosed_sets(source)
+    assert {p.mask for p in rep.pseudoclosed} == want
+    assert {c.mask for c in rep.essential_closures} == {
+        oracle_close(closed, full, p) for p in want
+    }
+    base = gd_base(source)
+    assert [i.premise.mask for i in base] == [p.mask for p in rep.pseudoclosed]
+    assert pairs(base) == {(p, oracle_close(closed, full, p)) for p in want}
+
+
+class TestLeftSaturation:
+    """The pseudoclosed sets as the left-saturated premises of Shock's base,
+    against the definition on the inputs where that base is degenerate."""
+
+    def test_empty_sigma(self):
+        for n in (1, 3, 5):
+            s = ImplicationSet(uni(n), ())
+            _check_against_oracle(s, n, brute_closed_masks(n, s))
+
+    def test_axiom_rules(self):
+        # an empty premise makes the empty set pseudoclosed
+        u = uni(4)
+        for lines in (("-> 1",), ("-> 1", "1 -> 2"), ("-> 1", "2 -> 3", "-> 4")):
+            s = sig(u, *lines)
+            _check_against_oracle(s, 4, brute_closed_masks(4, s))
+        assert [p.mask for p in pseudoclosed_sets(sig(u, "-> 1")).pseudoclosed] == [0]
+
+    def test_tautologies_and_repeated_premises(self):
+        # Shock drops the tautologies and merges the repeated premises
+        u = uni(5)
+        for lines in (
+            ("1 -> 1", "1 2 -> 2"),
+            ("1 -> 2", "1 -> 3", "1 -> 2 3", "2 -> 2"),
+            ("1 2 -> 3", "2 1 -> 4", "3 -> 3", "4 -> 5", "4 -> 5"),
+        ):
+            s = sig(u, *lines)
+            _check_against_oracle(s, 5, brute_closed_masks(5, s))
+
+    def test_random_theories_up_to_4n_rules(self):
+        for case in range(7):
+            rng = rng_for(14000 + case)
+            n = 8 + case % 5
+            u = uni(n)
+            s = rand_sigma(rng, u, max_items=4 * n)
+            _check_against_oracle(s, n, brute_closed_masks(n, s))
+
+    def test_families_and_bare_operators(self):
+        for case in range(30):
+            rng = rng_for(15000 + case)
+            n = rng.randint(2, 7)
+            u = uni(n)
+            f = rand_family(rng, u, k=rng.randint(0, 2 * n))
+            if case % 3 == 1:  # every member holds element 1
+                f = SetFamily(u, tuple(u.from_mask(m | 1) for m in f.masks()))
+            elif case % 3 == 2:
+                f = SetFamily(u, f.sets + (u.empty(),))
+            closed = brute_family_closed(n, f)
+            for source in (f, Closure.from_family(f)):
+                _check_against_oracle(source, n, closed)
+        # the empty family closes every set to the universe
+        _check_against_oracle(SetFamily(uni(3), ()), 3, [7])
 
 
 class TestGdBase:

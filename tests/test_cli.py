@@ -283,6 +283,23 @@ class TestErrors:
         code, _, err = run(capsys, "close", "--sigma", "/nonexistent", "--set", "1")
         assert code == 1 and "cannot read" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.imp"
+        bad.write_bytes(b"elements: 1 2\n1 -> 2\xff\n")
+        code, _, err = run(capsys, "close", "--sigma", str(bad), "--set", "1")
+        assert code == 1 and "cannot read" in err
+
+    def test_byte_order_mark_accepted(self, capsys, tmp_path):
+        bom = tmp_path / "bom.imp"
+        bom.write_bytes("elements: 1 2\r\n1 -> 2\r\n".encode("utf-8-sig"))
+        code, out, _ = run(capsys, "close", "--sigma", str(bom), "--set", "1")
+        assert code == 0 and out == "1 2\n"
+
+    def test_format_only_on_sat(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["close", "--sigma", files["eq15.imp"], "--set", "1", "--format", "lines"])
+        assert exc.value.code == 2
+
     def test_universe_mismatch(self, files, capsys, tmp_path):
         other = tmp_path / "other.imp"
         other.write_text("elements: a b\na -> b\n", encoding="utf-8")

@@ -50,6 +50,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_universe("elements: a ->")
 
+    def test_labels_containing_an_arrow_rejected(self):
+        # such a label could never be used on an implication line, nor
+        # survive a render-and-parse round trip
+        for text in ("elements: a->b c", "elements: a b->", "elements: ->a"):
+            with pytest.raises(ParseError):
+                parse_universe(text)
+        u = parse_universe("elements: a- >b c")
+        s = parse_implications("a- >b -> c", u)
+        assert parse_implications(s.render(), u) == s
+
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             parse_universe("1 2 3")
