@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import Closure, ClosureSource, _close_rowwise
+from .closure import Closure, ClosureSource, _close_rowwise, source_universe
 from .core import (
     AttrSet,
     Implication,
@@ -60,7 +60,7 @@ def pseudoclosed_sets(
 ) -> PseudoclosedReport:
     """All pseudoclosed sets: the left-saturated premises of Shock's
     minimum base, polynomial in the size of an implication source."""
-    u = source.universe
+    u = source_universe(source)
     found = _gd_pairs(source, bound)
     pseudo = SetFamily(u, tuple(AttrSet(u, p) for p, _ in found)).canonical()
     essential = SetFamily(u, tuple(AttrSet(u, cl) for _, cl in found)).canonical()
@@ -69,7 +69,7 @@ def pseudoclosed_sets(
 
 def gd_base(source: ClosureSource, bound: int | None = None) -> ImplicationSet:
     """The canonical (Guigues-Duquenne) base {P -> c(P) : P pseudoclosed}."""
-    u = source.universe
+    u = source_universe(source)
     items = tuple(
         Implication(AttrSet(u, p), AttrSet(u, cl)) for p, cl in _gd_pairs(source, bound)
     )

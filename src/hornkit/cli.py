@@ -229,8 +229,14 @@ def _horn_system(args) -> rows.HornSystem:
 
 def _cmd_enumerate(args) -> None:
     if args.lectic:
-        universe, source = _load_source(args)
-        for s in closure.enumerate_closed_lectic(source):
+        if args.expand or args.materialize:
+            args.usage_error("--lectic cannot be combined with --expand or --materialize")
+        if args.gamma:
+            listing = rows.enumerate_horn_lectic(_horn_system(args))
+        else:
+            universe, source = _load_source(args)
+            listing = closure.enumerate_closed_lectic(source)
+        for s in listing:
             _print_set(s)
         return
     h = _horn_system(args)
@@ -248,7 +254,7 @@ def _cmd_enumerate(args) -> None:
 
 def _cmd_count(args) -> None:
     h = _horn_system(args)
-    print(rows.count(rows.enumerate_horn(h)))
+    print(rows.count(h))
 
 
 def _cmd_sat(args) -> None:
@@ -287,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, fn):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
+        # usage_error prints the verb's usage and exits 2, as argparse does
+        p.set_defaults(fn=fn, usage_error=p.error)
         return p
 
     p = add("close", _cmd_close)

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
+from . import rows
 from .core import (
     AttrSet,
     ImplicationSet,
@@ -172,13 +173,19 @@ class Closure:
 
     @classmethod
     def wrap(cls, source: ClosureSource) -> Closure:
+        source_universe(source)
         if isinstance(source, Closure):
             return source
         if isinstance(source, ImplicationSet):
             return cls.from_sigma(source)
-        if isinstance(source, SetFamily):
-            return cls.from_family(source)
+        return cls.from_family(source)
+
+
+def source_universe(source: ClosureSource) -> Universe:
+    """The universe of a closure source; TypeError on anything else."""
+    if not isinstance(source, (ImplicationSet, SetFamily, Closure)):
         raise TypeError(f"not a closure source: {source!r}")
+    return source.universe
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,10 +304,43 @@ def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
     """Yield every closed set exactly once, in lectic order.
 
     Lectic order is taken on positions with the smallest position most
-    significant (the usual NextClosure convention). The loop calls the
-    kernel directly: each set is closed once, so a memo would never hit.
+    significant (the usual NextClosure convention). An implication family
+    is read off its 012 rows; a family or a bare operator, which has no
+    rows, goes through NextClosure.
     """
-    c = Closure.wrap(source)
+    if isinstance(source, ImplicationSet):
+        return lectic_from_rows(source.universe, rows.flat_rows(source))
+    return _next_closure(Closure.wrap(source))
+
+
+def lectic_from_rows(universe: Universe, flat: Iterable[rows.Row]) -> Iterator[AttrSet]:
+    """The members of disjoint bubble-free rows, in lectic order.
+
+    A member m is sorted as one plain integer: m with its bits reversed in
+    the high half, where the smallest position is the most significant,
+    and m itself in the low half. So the sorted integers are in lectic
+    order, and the low half gives each set back without a second reversal.
+    """
+    n = universe.size
+    top = 2 * n - 1
+    keys: list[int] = []
+    for ones, _, free, _ in flat:
+        row = [ones]
+        for p in bits(ones):
+            row[0] |= 1 << (top - p)
+        for p in bits(free):
+            both = 1 << p | 1 << (top - p)
+            row += [key | both for key in row]
+        keys += row
+    keys.sort()
+    full = universe.full_mask
+    for key in keys:
+        yield AttrSet(universe, key & full)
+
+
+def _next_closure(c: Closure) -> Iterator[AttrSet]:
+    """NextClosure (Ganter 1984). The loop calls the kernel directly: each
+    set is closed once, so a memo would never hit."""
     kernel = c._fn
     n = c.universe.size
     cur = kernel(0)

@@ -348,6 +348,17 @@ def _content_lines(text: str) -> Iterator[str]:
             yield line
 
 
+def _body_lines(text: str) -> Iterator[str]:
+    """Content lines after an optional leading header; a later header is an
+    error rather than a line to skip."""
+    for i, line in enumerate(_content_lines(text)):
+        if line.startswith(_HEADER):
+            if i:
+                raise ParseError(f"second {_HEADER!r} header: {line!r}")
+            continue
+        yield line
+
+
 def parse_universe(text: str) -> Universe:
     """Read the universe from the first content line: "elements: a b c"."""
     for line in _content_lines(text):
@@ -371,9 +382,7 @@ def parse_implication(line: str, universe: Universe) -> Implication:
 def parse_implications(text: str, universe: Universe) -> ImplicationSet:
     """Parse one implication per content line, in file order."""
     items = []
-    for line in _content_lines(text):
-        if line.startswith(_HEADER):
-            continue
+    for line in _body_lines(text):
         items.append(parse_implication(line, universe))
     return ImplicationSet(universe, tuple(items))
 
@@ -381,9 +390,7 @@ def parse_implications(text: str, universe: Universe) -> ImplicationSet:
 def parse_family(text: str, universe: Universe) -> SetFamily:
     """Parse one set per content line; "-" denotes the empty set."""
     sets = []
-    for line in _content_lines(text):
-        if line.startswith(_HEADER):
-            continue
+    for line in _body_lines(text):
         sets.append(universe.parse_set(line))
     return SetFamily(universe, tuple(sets))
 

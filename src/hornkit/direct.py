@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import Closure, ClosureSource
+from .closure import Closure, ClosureSource, source_universe
 from .core import (
     AttrSet,
     Implication,
@@ -31,7 +31,7 @@ def _search_ground(source: ClosureSource) -> int:
         for imp in source:
             ground |= imp.premise.mask
         return ground
-    return source.universe.full_mask
+    return source_universe(source).full_mask
 
 
 def stem_table(source: ClosureSource, bound: int | None = None) -> StemTable:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .closure import ClosureSource, enumerate_closed_lectic
+from .closure import ClosureSource, enumerate_closed_lectic, source_universe
 from .core import (
     AttrSet,
     Implication,
@@ -19,7 +19,7 @@ from .core import (
     extreme_masks,
 )
 from .errors import UniverseMismatchError
-from .rows import enumerate_compact, to_012
+from .rows import flat_rows
 
 
 def _transversal_masks(edges: list[int]) -> list[int]:
@@ -81,8 +81,7 @@ def _row_tops(source: ClosureSource) -> list[tuple[int, int]]:
     a bare operator lists its closed sets.
     """
     if isinstance(source, ImplicationSet):
-        rows = to_012(enumerate_compact(source)).rows
-        return [(r.ones, r.ones | r.free) for r in rows]
+        return [(ones, ones | free) for ones, _, free, _ in flat_rows(source)]
     if isinstance(source, SetFamily):
         return [(m, m) for m in source.masks()]
     return [(s.mask, s.mask) for s in enumerate_closed_lectic(source)]
@@ -135,7 +134,7 @@ class StemTable:
     def of(cls, source: ClosureSource) -> StemTable:
         """All stems and roots, as stems(e) = mtr(cmax(F,e)) less {e}, with
         max(F,e) read off the 012 rows, the family, or the closed sets."""
-        u = source.universe
+        u = source_universe(source)
         tops = _row_tops(source)
         stems_of: dict[int, SetFamily] = {}
         roots_by_stem: dict[int, int] = {}
@@ -160,7 +159,7 @@ def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
     directly; an implication argument goes through the compressed rows of
     F(sigma), taking per row the largest member avoiding e.
     """
-    u = source.universe
+    u = source_universe(source)
     if not 0 <= e < u.size:
         raise UniverseMismatchError(f"element position {e} outside universe")
     out = _max_avoiding(_row_tops(source), e)
@@ -177,7 +176,7 @@ class MaxNonCover:
 
 
 def max_noncover_table(source: ClosedSource) -> MaxNonCover:
-    u = source.universe
+    u = source_universe(source)
     tops = _row_tops(source)
     max_of: dict[int, SetFamily] = {}
     cmax_of: dict[int, SetFamily] = {}
@@ -198,7 +197,7 @@ def meet_irreducibles(source: ClosedSource, method: str = "rows") -> SetFamily:
     method="brute" uses the definition directly: a closed set other than E
     whose strict closed supersets intersect above it.
     """
-    u = source.universe
+    u = source_universe(source)
     if method == "brute":
         return _meet_irreducibles_brute(source)
     if method != "rows":
@@ -250,7 +249,7 @@ def minimal_keys(source: ClosedSource) -> SetFamily:
     """All minimal generating sets of E: the minimal transversals of the
     complements of the hyperplanes (the maximal closed sets below E).
     """
-    u = source.universe
+    u = source_universe(source)
     mi = meet_irreducibles(source)
     hyper = mi.maximize()
     comp = SetFamily(u, tuple(s.complement() for s in hyper))

@@ -5,17 +5,15 @@ disjoint 012n-rows, plus Horn satisfiability and near-minimum compression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from . import canonical
-from .closure import Closure
+from . import canonical, closure
 from .core import (
     AttrSet,
     Implication,
     ImplicationSet,
     SetFamily,
     Universe,
-    bits,
     submasks,
 )
 from .errors import InvariantError, UniverseMismatchError
@@ -51,10 +49,7 @@ class Row012n:
 
     def count(self) -> int:
         """Number of subsets: a k-position bubble contributes 2^k - 1."""
-        total = 1 << self.free.bit_count()
-        for b in self.bubbles:
-            total *= (1 << b.bit_count()) - 1
-        return total
+        return _size(self.free, self.bubbles)
 
     def members(self) -> Iterator[int]:
         def rec(idx: int, acc: int) -> Iterator[int]:
@@ -131,171 +126,182 @@ class RowSystem:
         return "\n".join(r.render() for r in self.rows)
 
 
-def _full_row(universe: Universe) -> Row012n:
-    return Row012n(universe, ones=0, zeros=0, free=universe.full_mask, bubbles=())
+# A row in flight: (ones, zeros, free, bubbles), the fields of a Row012n
+# without its universe. The splitters below work on these plain tuples and
+# append their output rows to a list; Row012n, with its partition check, is
+# built once per row that goes back to a caller.
+Row = tuple[int, int, int, tuple[int, ...]]
 
 
-def _force_ones(row: Row012n, m: int) -> Row012n | None:
+def _size(free: int, bubbles: tuple[int, ...]) -> int:
+    total = 1 << free.bit_count()
+    for b in bubbles:
+        total *= (1 << b.bit_count()) - 1
+    return total
+
+
+def _force_ones(row: Row, m: int) -> Row | None:
     """Restrict the row to subsets containing m; None when that is empty."""
-    if m & row.zeros:
+    ones, zeros, free, bubbles = row
+    if m & zeros:
         return None
-    bubbles = []
-    zeros = row.zeros
-    for b in row.bubbles:
+    kept = []
+    for b in bubbles:
         rest = b & ~m
         if rest == b:
-            bubbles.append(b)
+            kept.append(b)
         elif rest == 0:
             return None  # bubble fully forced present, but it needs a 0
         elif rest.bit_count() == 1:
             zeros |= rest
         else:
-            bubbles.append(rest)
-    return Row012n(
-        row.universe,
-        ones=row.ones | m,
-        zeros=zeros,
-        free=row.free & ~m,
-        bubbles=tuple(bubbles),
-    )
+            kept.append(rest)
+    return ones | m, zeros, free & ~m, tuple(kept)
 
 
-def _at_least_one_zero(row: Row012n, amask: int) -> list[Row012n]:
-    """Rows covering exactly the members of row missing part of amask."""
-    if amask & row.zeros:
-        return [row]
-    for b in row.bubbles:
+def _at_least_one_zero(row: Row, amask: int, out: list[Row]) -> None:
+    """Append rows covering exactly the members of row missing part of amask."""
+    ones, zeros, free, bubbles = row
+    if amask & zeros:
+        out.append(row)
+        return
+    for b in bubbles:
         if b & ~amask == 0:
-            return [row]  # some bubble lies inside amask, so a 0 is certain
-    cand = amask & ~row.ones
+            out.append(row)  # some bubble lies inside amask, so a 0 is certain
+            return
+    cand = amask & ~ones
     if cand == 0:
-        return []  # amask forced fully present
-    in_bubbles = cand & ~row.free
+        return  # amask forced fully present
+    in_bubbles = cand & ~free
     if in_bubbles == 0:
         # all candidate positions free: one new bubble (or a lone 0)
         if cand.bit_count() == 1:
-            return [
-                Row012n(
-                    row.universe,
-                    ones=row.ones,
-                    zeros=row.zeros | cand,
-                    free=row.free & ~cand,
-                    bubbles=row.bubbles,
-                )
-            ]
-        return [
-            Row012n(
-                row.universe,
-                ones=row.ones,
-                zeros=row.zeros,
-                free=row.free & ~cand,
-                bubbles=row.bubbles + (cand,),
-            )
-        ]
+            out.append((ones, zeros | cand, free & ~cand, bubbles))
+        else:
+            out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
+        return
     # a candidate position sits inside an existing bubble: branch on it
     p = in_bubbles & -in_bubbles
-    b = next(b for b in row.bubbles if b & p)
-    others = tuple(x for x in row.bubbles if x != b)
+    b = next(b for b in bubbles if b & p)
+    others = tuple(x for x in bubbles if x != b)
     # p absent: its bubble is satisfied, remaining bubble positions run free
-    branch0 = Row012n(
-        row.universe,
-        ones=row.ones,
-        zeros=row.zeros | p,
-        free=row.free | (b & ~p),
-        bubbles=others,
-    )
+    out.append((ones, zeros | p, free | (b & ~p), others))
     # p present: the bubble shrinks and the rest of amask must miss something
     with_p = _force_ones(row, p)
-    out = [branch0]
     if with_p is not None:
-        out.extend(_at_least_one_zero(with_p, amask & ~p))
+        _at_least_one_zero(with_p, amask & ~p, out)
+
+
+def _impose(
+    rows: list[Row], pairs: Iterable[tuple[int, int]], complications: Iterable[int]
+) -> list[Row]:
+    """Filter the rows by each (premise, conclusion) mask pair in turn, then
+    by each complication mask; the rows stay pairwise disjoint."""
+    for amask, bmask in pairs:
+        out: list[Row] = []
+        for row in rows:
+            ones, zeros, _, bubbles = row
+            # a row left whole: the premise cannot hold (a forced 0, or a
+            # bubble inside it), or the conclusion is certain when it does
+            if amask & zeros or not bmask & ~(amask | ones):
+                out.append(row)
+                continue
+            for b in bubbles:
+                if not b & ~amask:
+                    out.append(row)
+                    break
+            else:
+                # split: the members missing part of the premise, then
+                # those holding premise and conclusion
+                _at_least_one_zero(row, amask, out)
+                forced = _force_ones(row, amask | bmask)
+                if forced is not None:
+                    out.append(forced)
+        rows = out
+    for amask in complications:
+        out = []
+        for row in rows:
+            _at_least_one_zero(row, amask, out)
+        rows = out
+    return rows
+
+
+def _model_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    full: Row = (0, 0, sigma.universe.full_mask, ())
+    return _impose([full], sigma.mask_pairs(), complications)
+
+
+def _expand_bubbles(row: Row, out: list[Row]) -> None:
+    ones, zeros, free, bubbles = row
+    if not bubbles:
+        out.append(row)
+        return
+    rest = bubbles[1:]
+    before = 0  # the bubble's positions below p, present in p's row
+    after = bubbles[0]
+    while after:
+        p = after & -after
+        after ^= p
+        _expand_bubbles((ones | before, zeros | p, free | after, rest), out)
+        before |= p
+
+
+def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    """Bubble-free rows of the closed sets of sigma that cover no
+    complication mask, as plain tuples: the rows of to_012(enumerate_horn)."""
+    out: list[Row] = []
+    for row in _model_rows(sigma, complications):
+        _expand_bubbles(row, out)
     return out
 
 
-def _impose_on_row(row: Row012n, amask: int, bmask: int) -> list[Row012n]:
-    if amask & row.zeros:
-        return [row]
-    for b in row.bubbles:
-        if b & ~amask == 0:
-            return [row]
-    if bmask & ~(amask | row.ones) == 0:
-        return [row]  # conclusion already certain whenever the premise holds
-    out = _at_least_one_zero(row, amask)
-    forced = _force_ones(row, amask | bmask)
-    if forced is not None:
-        out.append(forced)
-    return out
+def _tuples(rows: RowSystem) -> list[Row]:
+    return [(r.ones, r.zeros, r.free, r.bubbles) for r in rows.rows]
+
+
+def _system(universe: Universe, rows: list[Row]) -> RowSystem:
+    return RowSystem(universe, tuple(Row012n(universe, *row) for row in rows))
 
 
 def impose_implication(rows: RowSystem, imp: Implication) -> RowSystem:
     """Filter the denotation by one implication; rows stay pairwise disjoint."""
     if imp.universe != rows.universe:
         raise UniverseMismatchError("implication outside the rows' universe")
-    out: list[Row012n] = []
-    for row in rows.rows:
-        out.extend(_impose_on_row(row, imp.premise.mask, imp.conclusion.mask))
-    return RowSystem(rows.universe, tuple(out))
+    pair = (imp.premise.mask, imp.conclusion.mask)
+    return _system(rows.universe, _impose(_tuples(rows), (pair,), ()))
 
 
 def impose_complication(rows: RowSystem, aset: AttrSet) -> RowSystem:
     """Filter by a negative clause: keep subsets not covering aset."""
     if aset.universe != rows.universe:
         raise UniverseMismatchError("complication outside the rows' universe")
-    out: list[Row012n] = []
-    for row in rows.rows:
-        out.extend(_at_least_one_zero(row, aset.mask))
-    return RowSystem(rows.universe, tuple(out))
+    return _system(rows.universe, _impose(_tuples(rows), (), (aset.mask,)))
 
 
 def enumerate_compact(sigma: ImplicationSet) -> RowSystem:
     """Disjoint 012n-rows denoting exactly the closed sets of sigma."""
-    rows = RowSystem(sigma.universe, (_full_row(sigma.universe),))
-    for imp in sigma:
-        rows = impose_implication(rows, imp)
-    return rows
+    return _system(sigma.universe, _model_rows(sigma))
 
 
-def count(rows: RowSystem) -> int:
+def count(rows: RowSystem | HornSystem) -> int:
     """Denotation cardinality (rows must be disjoint, which they are by
-    construction here)."""
+    construction here). A HornSystem is counted off its rows, Mod(h),
+    without building them."""
+    if isinstance(rows, HornSystem):
+        return sum(
+            _size(free, bubbles)
+            for _, _, free, bubbles in _model_rows(rows.sigma, rows.gamma.masks())
+        )
     return rows.count()
 
 
 def to_012(rows: RowSystem) -> RowSystem:
     """Equivalent bubble-free rows: each k-position bubble becomes the k
     disjoint rows 0 2..2, 1 0 2..2, ..., 1..1 0."""
-    out: list[Row012n] = []
-    for row in rows.rows:
-        out.extend(_expand_bubbles(row))
-    return RowSystem(rows.universe, tuple(out))
-
-
-def _expand_bubbles(row: Row012n) -> list[Row012n]:
-    if not row.bubbles:
-        return [row]
-    b = row.bubbles[0]
-    rest = row.bubbles[1:]
-    out = []
-    positions = list(bits(b))
-    for i, p in enumerate(positions):
-        ones_add = 0
-        for q in positions[:i]:
-            ones_add |= 1 << q
-        free_add = 0
-        for q in positions[i + 1 :]:
-            free_add |= 1 << q
-        out.extend(
-            _expand_bubbles(
-                Row012n(
-                    row.universe,
-                    ones=row.ones | ones_add,
-                    zeros=row.zeros | (1 << p),
-                    free=row.free | free_add,
-                    bubbles=rest,
-                )
-            )
-        )
-    return out
+    out: list[Row] = []
+    for row in _tuples(rows):
+        _expand_bubbles(row, out)
+    return _system(rows.universe, out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,16 +328,18 @@ class HornSystem:
 def enumerate_horn(h: HornSystem) -> RowSystem:
     """Disjoint rows denoting Mod(h): the closed sets that cover no
     complication."""
-    rows = enumerate_compact(h.sigma)
-    for aset in h.gamma:
-        rows = impose_complication(rows, aset)
-    return rows
+    return _system(h.universe, _model_rows(h.sigma, h.gamma.masks()))
+
+
+def enumerate_horn_lectic(h: HornSystem) -> Iterator[AttrSet]:
+    """Mod(h) in lectic order, read off its bubble-free rows."""
+    return closure.lectic_from_rows(h.universe, flat_rows(h.sigma, h.gamma.masks()))
 
 
 def horn_satisfiable(h: HornSystem) -> tuple[bool, AttrSet | None]:
     """Satisfiability in linear time: the least closed set is a model unless
     it covers a complication; it is returned as the witness."""
-    bottom = Closure.from_sigma(h.sigma).of_mask(0)
+    bottom = closure.Closure.from_sigma(h.sigma).of_mask(0)
     for aset in h.gamma:
         if aset.mask & ~bottom == 0:
             return False, None

@@ -1,5 +1,6 @@
 import pytest
 
+import hornkit.closure
 from hornkit.cli import main
 
 EQ15_TEXT = """elements: 1 2 3 4 5 6 7 8 9
@@ -269,6 +270,59 @@ class TestVerbTour:
         _, first, _ = run(capsys, "base-direct", "--sigma", files["eq38.imp"])
         _, second, _ = run(capsys, "base-direct", "--sigma", files["eq38.imp"])
         assert first == second
+
+
+class TestLecticFlags:
+    def gamma(self, tmp_path, *lines):
+        path = tmp_path / "gamma.fam"
+        path.write_text("elements: 1 2 3 4 5 6\n" + "".join(f"{x}\n" for x in lines),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_gamma_lists_models_in_lectic_order(self, files, capsys, tmp_path):
+        # brute force: the closed sets of EQ38 covering neither {1 2} nor {3 6}
+        gamma = self.gamma(tmp_path, "1 2", "3 6")
+        premises = [(0b000100, 0b010000), (0b010001, 0b001000),
+                    (0b100000, 0b000100), (0b000110, 0b000001)]
+        models = [m for m in range(64)
+                  if all(p & ~m or not c & ~m for p, c in premises)
+                  and 0b11 & ~m and 0b100100 & ~m]
+        models.sort(key=lambda m: [m >> p & 1 for p in range(6)])
+        want = "".join(
+            (" ".join(str(p + 1) for p in range(6) if m >> p & 1) or "-") + "\n"
+            for m in models
+        )
+        code, out, _ = run(capsys, "enumerate", "--sigma", files["eq38.imp"],
+                           "--gamma", gamma, "--lectic")
+        assert code == 0 and out == want
+        assert len(models) == 14
+        _, count, _ = run(capsys, "count", "--sigma", files["eq38.imp"], "--gamma", gamma)
+        assert count == "14\n"
+
+    def test_gamma_on_family_refused(self, files, capsys, tmp_path):
+        gamma = self.gamma(tmp_path, "1 2")
+        want = run(capsys, "enumerate", "--family", files["mf.fam"], "--gamma", gamma)
+        got = run(capsys, "enumerate", "--family", files["mf.fam"], "--gamma", gamma,
+                  "--lectic")
+        assert got == want
+        assert got[0] == 1 and "--sigma" in got[2]
+
+    @pytest.mark.parametrize("flag", ["--expand", "--materialize"])
+    def test_expand_and_materialize_refused(self, files, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--sigma", files["eq38.imp"], "--lectic", flag])
+        assert exc.value.code == 2
+        assert "--lectic" in capsys.readouterr().err
+
+    def test_plain_lectic_goes_through_the_library_entry(self, files, capsys, monkeypatch):
+        calls = []
+        orig = hornkit.closure.enumerate_closed_lectic
+        monkeypatch.setattr(hornkit.closure, "enumerate_closed_lectic",
+                            lambda source: calls.append(source) or orig(source))
+        for src in (["--sigma", files["eq38.imp"]], ["--family", files["mf.fam"]]):
+            code, out, _ = run(capsys, "enumerate", *src, "--lectic")
+            assert code == 0 and len(out.splitlines()) == 22
+        assert len(calls) == 2
 
 
 class TestErrors:

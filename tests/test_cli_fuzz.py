@@ -158,6 +158,8 @@ def test_every_verb_exits_cleanly(tmp_path):
             files[name] = str(path)
         if rng.random() < 0.1:
             files[rng.choice(["imp", "fam"])] = str(tmp_path)  # a directory
+        twice = {files[name] for i, name in enumerate(("imp", "fam", "imp2"))
+                 if DEFECTS[(case + i) % len(DEFECTS)] == "twice"}
         for verb in VERBS:
             argv = _argv(rng, verb, files, labels)
             if rng.random() < 0.05:
@@ -165,5 +167,9 @@ def test_every_verb_exits_cleanly(tmp_path):
             code, err = _run(argv)
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err, argv
+            if code != 2 and twice & set(argv):
+                # every verb reads the files it is given; a second header
+                # is a parse error
+                assert code == 1, argv
             codes.add(code)
     assert codes == {0, 1, 2}

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from itertools import combinations
 
 import pytest
 
@@ -8,16 +9,25 @@ from hornkit import (
     Closure,
     Implication,
     ImplicationSet,
+    SetFamily,
+    StemTable,
     Universe,
     UniverseMismatchError,
+    canonical_direct,
     close,
     close_family,
     close_trace,
+    d_basis,
     entails,
     enumerate_closed_lectic,
     equivalent,
+    gd_base,
     is_closed,
+    meet_irreducibles,
+    minimal_keys,
+    pseudoclosed_sets,
     quasiclosure,
+    stem_table,
     step,
 )
 
@@ -32,6 +42,7 @@ from conftest import (
     fam,
     imp,
     oracle_close,
+    rand_mask,
     rand_sigma,
     rng_for,
     sig,
@@ -297,6 +308,87 @@ class TestLecticEnumeration:
             want = sorted(closed, key=lambda m: self.lectic_key(m, n))
             got = [x.mask for x in enumerate_closed_lectic(s)]
             assert got == want
+
+    def edge_sigma(self, rng, u: Universe, case: int) -> ImplicationSet:
+        """Random rules, with the corners the rows listing must survive:
+        no rules, axioms, tautologies and repeated rules."""
+        n = u.size
+        if case % 10 == 0:
+            return ImplicationSet(u, ())
+        items = []
+        for _ in range(rng.randint(1, 2 * n)):
+            prem = rand_mask(rng, n)
+            conc = rand_mask(rng, n)
+            roll = rng.random()
+            if roll < 0.15:
+                prem = 0  # an axiom
+            elif roll < 0.25:
+                conc &= prem  # a tautology
+            items.append(Implication(u.from_mask(prem), u.from_mask(conc)))
+            if rng.random() < 0.15:
+                items.append(items[-1])  # a repeated rule
+        return ImplicationSet(u, tuple(items))
+
+    def test_rows_listing_matches_brute_force(self):
+        for case in range(320):
+            rng = rng_for(61000 + case)
+            n = 1 if case % 16 == 0 else rng.randint(1, 10)
+            u = uni(n)
+            s = self.edge_sigma(rng, u, case)
+            want = sorted(brute_closed_masks(n, s), key=lambda m: self.lectic_key(m, n))
+            assert [x.mask for x in enumerate_closed_lectic(s)] == want
+
+    def test_rows_listing_matches_next_closure_on_wide_universes(self):
+        # a few free positions spread over the universe; every other
+        # position is an axiom or tied both ways to one free position, so
+        # each closed set is the closure of its free part
+        for n in (63, 64, 65, 130):
+            for case in range(4):
+                rng = rng_for(62000 + 10 * n + case)
+                u = uni(n)
+                free = sorted({0, n - 1, n // 2, *rng.sample(range(n), 4)})
+                items = []
+                for q in range(n):
+                    if q in free:
+                        continue
+                    if rng.random() < 0.2:
+                        items.append(Implication(u.empty(), u.from_mask(1 << q)))
+                    else:
+                        f = rng.choice(free)
+                        items.append(Implication(u.from_mask(1 << f), u.from_mask(1 << q)))
+                        items.append(Implication(u.from_mask(1 << q), u.from_mask(1 << f)))
+                for _ in range(3):
+                    prem = sum(1 << f for f in rng.sample(free, 2))
+                    items.append(Implication(u.from_mask(prem), u.from_mask(1 << rng.choice(free))))
+                rng.shuffle(items)
+                s = ImplicationSet(u, tuple(items))
+                c = Closure.from_sigma(s)
+                sets = {c.of_mask(sum(1 << f for f in pick))
+                        for k in range(len(free) + 1)
+                        for pick in combinations(free, k)}
+                family = SetFamily(u, tuple(u.from_mask(m) for m in sets))
+                got = [x.mask for x in enumerate_closed_lectic(s)]
+                assert got == [x.mask for x in enumerate_closed_lectic(family)]
+                assert got == sorted(sets, key=lambda m: self.lectic_key(m, n))
+
+
+NOT_A_SOURCE = (
+    pseudoclosed_sets,
+    gd_base,
+    StemTable.of,
+    stem_table,
+    canonical_direct,
+    meet_irreducibles,
+    minimal_keys,
+    d_basis,
+    enumerate_closed_lectic,
+)
+
+
+@pytest.mark.parametrize("fn", NOT_A_SOURCE, ids=lambda fn: fn.__qualname__)
+def test_non_source_raises_type_error(fn):
+    with pytest.raises(TypeError, match="not a closure source: 42"):
+        fn(42)
 
 
 class TestClosureAxioms:

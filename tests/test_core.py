@@ -64,6 +64,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_universe("1 2 3")
 
+    def test_second_header_rejected(self):
+        # a header is read only as the first content line
+        for text in ("elements: 1 2\n1 -> 2\nelements: 1 2\n",
+                     "# note\nelements: 1 2\nelements: 1 2 3\n"):
+            with pytest.raises(ParseError):
+                load_implications(text)
+            with pytest.raises(ParseError):
+                load_family(text.replace("1 -> 2", "1"))
+        with pytest.raises(ParseError):
+            parse_family("1\nelements: 1 2", uni(2))
+        u, s = load_implications("# note\nelements: 1 2\n1 -> 2\n")
+        assert [i.render() for i in s] == ["1 -> 2"]
+
     def test_implications_file_order(self):
         u = uni(6)
         s = parse_implications("3 -> 5\n1 5 -> 4\n6 -> 3\n2 3 -> 1", u)

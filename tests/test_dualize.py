@@ -7,13 +7,17 @@ from hornkit import (
     UniverseMismatchError,
     close_family,
     cmax_from_stems,
+    enumerate_compact,
     max_noncovers,
     meet_irreducibles,
     minimal_keys,
     minimal_transversals,
     stem_table,
     stems_from_meetirr,
+    to_012,
 )
+
+from hornkit.dualize import _row_tops
 
 from conftest import (
     EQ25_MF,
@@ -34,6 +38,17 @@ from conftest import (
 
 def masks(family):
     return family.as_mask_set()
+
+
+class TestRowTops:
+    def test_tuples_match_the_row_objects(self):
+        # _row_tops reads the bubble-free tuples; the public route builds a
+        # checked Row012n per row, and both must list the same rows
+        for case in range(40):
+            rng = rng_for(64000 + case)
+            s = rand_sigma(rng, uni(rng.randint(1, 9)))
+            rows = to_012(enumerate_compact(s)).rows
+            assert _row_tops(s) == [(r.ones, r.ones | r.free) for r in rows]
 
 
 class TestMinimalTransversals:

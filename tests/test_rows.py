@@ -11,6 +11,7 @@ from hornkit import (
     count,
     enumerate_compact,
     enumerate_horn,
+    enumerate_horn_lectic,
     gd_base,
     horn_satisfiable,
     impose_complication,
@@ -208,6 +209,25 @@ class TestHornSystem:
     def test_excluding_top(self):
         h = HornSystem(EQ38, fam(U6, "1 2 3 4 5 6"))
         assert count(enumerate_horn(h)) == 21
+
+    def test_count_without_rows_matches_rows(self):
+        for case in range(25):
+            rng = rng_for(37500 + case)
+            u = uni(rng.randint(1, 7))
+            h = HornSystem(rand_sigma(rng, u), rand_family(rng, u, k=rng.randint(0, 3)))
+            assert count(h) == count(enumerate_horn(h))
+
+    def test_lectic_listing_of_models(self):
+        for case in range(40):
+            rng = rng_for(37700 + case)
+            n = rng.randint(1, 7)
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            g = rand_family(rng, u, k=rng.randint(0, 3))
+            want = [m for m in brute_closed_masks(n, s) if all(a & ~m for a in g.masks())]
+            want.sort(key=lambda m: [m >> p & 1 for p in range(n)])
+            got = [x.mask for x in enumerate_horn_lectic(HornSystem(s, g))]
+            assert got == want
 
     def test_random_exactness(self):
         for case in range(25):
