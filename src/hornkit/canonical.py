@@ -7,16 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closure import Closure, ClosureSource, _close_rowwise, source_universe
-from .core import (
-    AttrSet,
-    Implication,
-    ImplicationSet,
-    SetFamily,
-    exhaustive_bound,
-    normalize,
-)
-from .dualize import StemTable
-from .errors import BoundExceededError
+from .core import AttrSet, Implication, ImplicationSet, SetFamily, normalize
+from .direct import canonical_direct
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,24 +19,16 @@ class PseudoclosedReport:
     essential_closures: SetFamily
 
 
-def _gd_pairs(source: ClosureSource, bound: int | None) -> list[tuple[int, int]]:
+def _gd_pairs(source: ClosureSource) -> list[tuple[int, int]]:
     """(P, c(P)) for every pseudoclosed P, by left-saturating a minimum base.
 
     Shock's base of the source (sigma itself, or the canonical direct base
     of a family or bare operator) is a nonredundant family of full
     implications A -> c(A); closing each premise under the other
-    implications gives the pseudoclosed sets (Day 1992).
+    implications gives the pseudoclosed sets (Day 1992). Only the stem
+    search behind the canonical direct base has a size limit.
     """
-    u = source.universe
-    limit = exhaustive_bound() if bound is None else bound
-    if u.size > limit:
-        raise BoundExceededError(
-            f"pseudoclosed scan over a {u.size}-element universe (bound {limit})"
-        )
-    if isinstance(source, ImplicationSet):
-        base = source
-    else:
-        base = StemTable.of(source).direct_base()
+    base = source if isinstance(source, ImplicationSet) else canonical_direct(source)
     pairs = shock_minimize(base).mask_pairs()
     out = []
     for i, (prem, conc) in enumerate(pairs):
@@ -55,24 +39,20 @@ def _gd_pairs(source: ClosureSource, bound: int | None) -> list[tuple[int, int]]
     return out
 
 
-def pseudoclosed_sets(
-    source: ClosureSource, bound: int | None = None
-) -> PseudoclosedReport:
+def pseudoclosed_sets(source: ClosureSource) -> PseudoclosedReport:
     """All pseudoclosed sets: the left-saturated premises of Shock's
     minimum base, polynomial in the size of an implication source."""
     u = source_universe(source)
-    found = _gd_pairs(source, bound)
+    found = _gd_pairs(source)
     pseudo = SetFamily(u, tuple(AttrSet(u, p) for p, _ in found)).canonical()
     essential = SetFamily(u, tuple(AttrSet(u, cl) for _, cl in found)).canonical()
     return PseudoclosedReport(pseudoclosed=pseudo, essential_closures=essential)
 
 
-def gd_base(source: ClosureSource, bound: int | None = None) -> ImplicationSet:
+def gd_base(source: ClosureSource) -> ImplicationSet:
     """The canonical (Guigues-Duquenne) base {P -> c(P) : P pseudoclosed}."""
     u = source_universe(source)
-    items = tuple(
-        Implication(AttrSet(u, p), AttrSet(u, cl)) for p, cl in _gd_pairs(source, bound)
-    )
+    items = tuple(Implication(AttrSet(u, p), AttrSet(u, cl)) for p, cl in _gd_pairs(source))
     return ImplicationSet(u, items).sorted()
 
 

@@ -2,7 +2,8 @@
 deterministic text output.
 
 Exit codes: 0 success, 1 domain error (parse failure, universe mismatch,
-refused exhaustive scan, ...), 2 usage error.
+a stem search or quasiclosure over its size limit, ...), 2 usage error
+(also for flags that exclude each other).
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def _cmd_close(args) -> None:
     if isinstance(source, SetFamily):
         if args.one_step or args.trace:
             raise HornkitError("--one-step/--trace need a --sigma input")
+        if args.layout != "auto":
+            raise HornkitError("--layout needs a --sigma input")
         _print_set(closure.close_family(source, s))
         return
     if args.one_step:
@@ -131,6 +134,8 @@ def _cmd_base_direct(args) -> None:
 
 
 def _cmd_base_dbasis(args) -> None:
+    if args.verify and args.close_set is None:
+        args.usage_error("--verify needs --close-set")
     universe, source = _load_source(args)
     ordered = direct.d_basis(source)
     if args.close_set is not None:
@@ -185,12 +190,14 @@ def _cmd_meetirr(args) -> None:
     if args.element is not None:
         _print_family(dualize.max_noncovers(source, _element(args.element, universe)))
         return
-    _print_family(dualize.meet_irreducibles(source, method=args.method))
+    _print_family(dualize.meet_irreducibles(source, method=args.method or "rows"))
 
 
 def _cmd_stems(args) -> None:
+    if args.via_dualization and args.element is None:
+        args.usage_error("--via-dualization needs --element")
     universe, source = _load_source(args)
-    if args.element is not None and args.via_dualization:
+    if args.via_dualization:
         if not isinstance(source, SetFamily):
             raise HornkitError("--via-dualization needs a --family input")
         _print_family(dualize.stems_from_meetirr(source, _element(args.element, universe)))
@@ -302,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--set", required=True)
     p.add_argument("--layout", choices=("auto", "row", "column"), default="auto")
-    p.add_argument("--quasi", action="store_true")
-    p.add_argument("--one-step", dest="one_step", action="store_true")
-    p.add_argument("--trace", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--quasi", action="store_true")
+    g.add_argument("--one-step", dest="one_step", action="store_true")
+    g.add_argument("--trace", action="store_true")
 
     p = add("entails", _cmd_entails)
     p.add_argument("--sigma", required=True)
@@ -317,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("base-gd", _cmd_base_gd)
     p.add_argument("--sigma")
     p.add_argument("--family")
-    p.add_argument("--pseudoclosed", action="store_true")
-    p.add_argument("--core", action="store_true")
-    p.add_argument("--trim", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--pseudoclosed", action="store_true")
+    g.add_argument("--core", action="store_true")
+    g.add_argument("--trim", action="store_true")
 
     p = add("base-direct", _cmd_base_direct)
     p.add_argument("--sigma")
@@ -334,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minimize", _cmd_minimize)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--trim", action="store_true")
-    p.add_argument("--redundancy-only", dest="redundancy_only", action="store_true")
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--unit-expand", dest="unit_expand", action="store_true")
-    p.add_argument("--aggregate", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--trim", action="store_true")
+    g.add_argument("--redundancy-only", dest="redundancy_only", action="store_true")
+    g.add_argument("--check", action="store_true")
+    g.add_argument("--unit-expand", dest="unit_expand", action="store_true")
+    g.add_argument("--aggregate", action="store_true")
 
     p = add("primes", _cmd_primes)
     p.add_argument("--sigma", required=True)
@@ -351,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("meetirr", _cmd_meetirr)
     p.add_argument("--sigma")
     p.add_argument("--family")
-    p.add_argument("--method", choices=("rows", "brute"), default="rows")
-    p.add_argument("--element")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--method", choices=("rows", "brute"))
+    g.add_argument("--element")
 
     p = add("stems", _cmd_stems)
     p.add_argument("--sigma")

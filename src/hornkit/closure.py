@@ -26,22 +26,29 @@ ClosureSource = Union[ImplicationSet, SetFamily, "Closure"]
 Pairs = list[tuple[int, int]]
 
 
-def _close_rowwise(pairs: Pairs, mask: int) -> int:
-    """Least fixpoint by repeated row-wise scans; fired rules drop out."""
-    pending = range(len(pairs))
+def _rounds(pairs: Pairs, mask: int) -> Iterator[int]:
+    """The forward-chaining rounds S', S'', ... of mask, ending with the
+    repeated fixpoint; a rule that has fired drops out of later rounds."""
     while True:
         new = mask
-        nxt = []
-        for i in pending:
-            prem, conc = pairs[i]
-            if prem & ~mask == 0:
-                new |= conc
+        pending = []
+        for pair in pairs:
+            if pair[0] & ~mask == 0:
+                new |= pair[1]
             else:
-                nxt.append(i)
+                pending.append(pair)
+        yield new
         if new == mask:
-            return mask
+            return
         mask = new
-        pending = nxt
+        pairs = pending
+
+
+def _close_rowwise(pairs: Pairs, mask: int) -> int:
+    """Least fixpoint: the last of the rounds."""
+    for mask in _rounds(pairs, mask):
+        pass
+    return mask
 
 
 def _close_columnwise(
@@ -199,16 +206,15 @@ class ClosureTrace:
         return self.rounds[-1]
 
 
-def step(sigma: ImplicationSet, s: AttrSet) -> AttrSet:
-    """One forward-chaining round: S plus the conclusions of premises inside S."""
+def _set_rounds(sigma: ImplicationSet, s: AttrSet) -> Iterator[int]:
     if s.universe != sigma.universe:
         raise UniverseMismatchError("set and family in different universes")
-    mask = s.mask
-    new = mask
-    for prem, conc in _compiled(sigma).pairs:
-        if prem & ~mask == 0:
-            new |= conc
-    return AttrSet(s.universe, new)
+    return _rounds(_compiled(sigma).pairs, s.mask)
+
+
+def step(sigma: ImplicationSet, s: AttrSet) -> AttrSet:
+    """One forward-chaining round: S plus the conclusions of premises inside S."""
+    return AttrSet(s.universe, next(_set_rounds(sigma, s)))
 
 
 def close(sigma: ImplicationSet, s: AttrSet, layout: str = "auto") -> AttrSet:
@@ -221,14 +227,8 @@ def close(sigma: ImplicationSet, s: AttrSet, layout: str = "auto") -> AttrSet:
 
 
 def close_trace(sigma: ImplicationSet, s: AttrSet) -> ClosureTrace:
-    rounds = [s]
-    cur = s
-    while True:
-        nxt = step(sigma, cur)
-        rounds.append(nxt)
-        if nxt.mask == cur.mask:
-            return ClosureTrace(tuple(rounds))
-        cur = nxt
+    u = s.universe
+    return ClosureTrace((s, *(AttrSet(u, m) for m in _set_rounds(sigma, s))))
 
 
 def close_family(family: SetFamily, s: AttrSet) -> AttrSet:
@@ -238,13 +238,7 @@ def close_family(family: SetFamily, s: AttrSet) -> AttrSet:
 
 def is_closed(sigma: ImplicationSet, s: AttrSet) -> bool:
     """True iff every implication with premise inside s concludes inside s."""
-    if s.universe != sigma.universe:
-        raise UniverseMismatchError("set and family in different universes")
-    mask = s.mask
-    for prem, conc in _compiled(sigma).pairs:
-        if prem & ~mask == 0 and conc & ~mask:
-            return False
-    return True
+    return step(sigma, s) == s
 
 
 def entails(sigma: ImplicationSet, query: Implication) -> bool:
@@ -270,18 +264,17 @@ def equivalent(sigma1: ImplicationSet, sigma2: ImplicationSet) -> bool:
     return True
 
 
-def quasiclosure(
-    source: ClosureSource, s: AttrSet, bound: int | None = None
-) -> AttrSet:
+def quasiclosure(source: ClosureSource, s: AttrSet) -> AttrSet:
     """Least fixpoint of S° = S ∪ ⋃{c(U) : U ⊆ S, c(U) ≠ c(S)}.
 
-    Quantifies over all subsets of the current set, so it refuses when the
-    set grows beyond the exhaustive bound.
+    Quantifies over all subsets of the current set, so it raises
+    BoundExceededError when the set grows beyond HORNKIT_MAX_EXHAUSTIVE
+    elements (default 20).
     """
     c = Closure.wrap(source)
     if s.universe != c.universe:
         raise UniverseMismatchError("set outside the operator's universe")
-    limit = exhaustive_bound() if bound is None else bound
+    limit = exhaustive_bound()
     cur = s.mask
     while True:
         if cur.bit_count() > limit:

@@ -16,14 +16,13 @@ from .errors import InvariantError, ParseError, UniverseMismatchError
 
 _HEADER = "elements:"
 
-DEFAULT_EXHAUSTIVE_BOUND = 20
 
-
-def exhaustive_bound(default: int = DEFAULT_EXHAUSTIVE_BOUND) -> int:
-    """Size bound for exhaustive scans; HORNKIT_MAX_EXHAUSTIVE overrides."""
+def exhaustive_bound() -> int:
+    """Size limit of the stem search and quasiclosure: 20 elements, or
+    HORNKIT_MAX_EXHAUSTIVE when set."""
     raw = os.environ.get("HORNKIT_MAX_EXHAUSTIVE")
     if raw is None:
-        return default
+        return 20
     try:
         return int(raw)
     except ValueError:
@@ -368,15 +367,11 @@ def parse_universe(text: str) -> Universe:
     raise ParseError("empty universe declaration")
 
 
-def _parse_side(text: str, universe: Universe) -> AttrSet:
-    return universe.parse_set(text)
-
-
 def parse_implication(line: str, universe: Universe) -> Implication:
     if "->" not in line:
         raise ParseError(f"missing '->' in {line!r}")
     left, right = line.split("->", 1)
-    return Implication(_parse_side(left, universe), _parse_side(right, universe))
+    return Implication(universe.parse_set(left), universe.parse_set(right))
 
 
 def parse_implications(text: str, universe: Universe) -> ImplicationSet:

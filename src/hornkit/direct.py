@@ -34,14 +34,15 @@ def _search_ground(source: ClosureSource) -> int:
     return source_universe(source).full_mask
 
 
-def stem_table(source: ClosureSource, bound: int | None = None) -> StemTable:
+def stem_table(source: ClosureSource) -> StemTable:
     """All stems and roots, by dualization: stems(e) = mtr(cmax(F,e)) \\ {e}.
 
-    Refuses when the premise elements (the full universe for family-given
-    operators) outnumber the exhaustive bound.
+    Raises BoundExceededError when the premise elements (the full universe
+    for family-given operators) outnumber HORNKIT_MAX_EXHAUSTIVE (default
+    20).
     """
     ground = _search_ground(source)
-    limit = exhaustive_bound() if bound is None else bound
+    limit = exhaustive_bound()
     if ground.bit_count() > limit:
         raise BoundExceededError(
             f"stem search over {ground.bit_count()} premise elements (bound {limit})"
@@ -49,12 +50,12 @@ def stem_table(source: ClosureSource, bound: int | None = None) -> StemTable:
     return StemTable.of(source)
 
 
-def canonical_direct(source: ClosureSource, bound: int | None = None) -> ImplicationSet:
+def canonical_direct(source: ClosureSource) -> ImplicationSet:
     """The canonical direct base {X -> roots(X) : X a stem}.
 
     One forward-chaining step on it already reaches the closure.
     """
-    return stem_table(source, bound).direct_base()
+    return stem_table(source).direct_base()
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +114,7 @@ class OrderedBase:
         return "\n".join(imp.render() for imp in self.items)
 
 
-def d_basis(source: ClosureSource, bound: int | None = None) -> OrderedBase:
+def d_basis(source: ClosureSource) -> OrderedBase:
     """The D-basis: all unit prime implicates with premise of size <= 1,
     followed by the order-minimal larger ones.
 
@@ -121,7 +122,7 @@ def d_basis(source: ClosureSource, bound: int | None = None) -> OrderedBase:
     """
     c = Closure.wrap(source)
     u = c.universe
-    table = stem_table(source, bound)
+    table = stem_table(source)
 
     # strictly-smaller relation from singleton closures
     singles = [c.of_mask(1 << p) for p in range(u.size)]

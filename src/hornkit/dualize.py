@@ -202,10 +202,10 @@ def meet_irreducibles(source: ClosedSource, method: str = "rows") -> SetFamily:
         return _meet_irreducibles_brute(source)
     if method != "rows":
         raise ValueError(f"unknown method {method!r}")
-    table = max_noncover_table(source)
+    tops = _row_tops(source)
     masks: set[int] = set()
-    for fam in table.max_of.values():
-        masks.update(fam.masks())
+    for e in range(u.size):
+        masks.update(_max_avoiding(tops, e))
     return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
 
 

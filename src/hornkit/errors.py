@@ -14,7 +14,8 @@ class UniverseMismatchError(HornkitError):
 
 
 class BoundExceededError(HornkitError):
-    """An exhaustive-search operation refused to run above its size bound."""
+    """The stem search or quasiclosure refused a ground set larger than
+    HORNKIT_MAX_EXHAUSTIVE elements (default 20)."""
 
 
 class NotAcyclicError(HornkitError):

@@ -52,17 +52,12 @@ class Row012n:
         return _size(self.free, self.bubbles)
 
     def members(self) -> Iterator[int]:
-        def rec(idx: int, acc: int) -> Iterator[int]:
-            if idx == len(self.bubbles):
-                for f in submasks(self.free):
-                    yield acc | f
-                return
-            b = self.bubbles[idx]
-            for sub in submasks(b):
-                if sub != b:  # at least one 0 inside the bubble
-                    yield from rec(idx + 1, acc | sub)
-
-        return rec(0, self.ones)
+        """Member masks, read off the row's bubble-free expansion."""
+        flat: list[Row] = []
+        _expand_bubbles((self.ones, self.zeros, self.free, self.bubbles), flat)
+        for ones, _, free, _ in flat:
+            for f in submasks(free):
+                yield ones | f
 
     def intersects(self, other: Row012n) -> bool:
         """Symbol-compatibility test: is some subset in both rows?

@@ -20,7 +20,9 @@ from conftest import (
     ACYC7,
     EQ15,
     EQ15_GD,
+    EQ25_MF,
     EQ27_CD,
+    EQ38,
     FIG4A,
     FIG4A_GD,
     SHOCK_MIN,
@@ -61,18 +63,58 @@ class TestPseudoclosed:
         got = {p.render() for p in rep.pseudoclosed}
         assert got == {str(k) for k in range(1, 9)}
 
-    def test_bound_refusal(self):
+    def test_bound_refusal(self, monkeypatch):
+        # a bare operator has no rules, so its base goes through the stem
+        # search over the whole universe, which the limit guards
+        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "5")
         with pytest.raises(BoundExceededError):
-            pseudoclosed_sets(EQ15, bound=5)
+            pseudoclosed_sets(Closure.from_sigma(EQ15))
 
-    def test_env_var_overrides_bound(self, monkeypatch):
-        from conftest import EQ38
-
+    def test_family_over_limit_refused(self, monkeypatch):
         monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
         with pytest.raises(BoundExceededError):
-            pseudoclosed_sets(EQ38)
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "8")
-        assert len(gd_base(EQ38)) > 0
+            pseudoclosed_sets(EQ25_MF)
+
+    def test_implication_input_has_no_limit(self, monkeypatch):
+        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
+        base = gd_base(EQ38)
+        want = brute_pseudoclosed(6, brute_closed_masks(6, EQ38))
+        assert {i.premise.mask for i in base} == want
+        assert equivalent(base, EQ38)
+
+    def test_large_implication_input(self):
+        # n = 100 lies far past the stem-search limit, which a family of the
+        # same size still hits
+        rng = rng_for(8400)
+        u = uni(100)
+        items = []
+        for _ in range(300):
+            prem = 0
+            for _ in range(rng.randint(1, 3)):
+                prem |= 1 << rng.randrange(100)
+            items.append(Implication(u.from_mask(prem), u.from_mask(1 << rng.randrange(100))))
+        s = ImplicationSet(u, tuple(items))
+        base = gd_base(s)
+        assert equivalent(base, s)
+        assert len(base) == len(shock_minimize(s))
+        c = Closure.from_sigma(s)
+        for i in base:
+            assert i.conclusion.mask == c.of_mask(i.premise.mask)
+        with pytest.raises(BoundExceededError):
+            gd_base(SetFamily(u, (u.empty(),)))
+
+    def test_padded_with_inert_elements(self):
+        # elements in no rule change no pseudoclosed set, so a theory padded
+        # past the default limit of 20 matches the oracle on the small one
+        pad = 17
+        for case in range(30):
+            rng = rng_for(8500 + case)
+            n = rng.randint(1, 8)
+            s = rand_sigma(rng, uni(n))
+            padded = sig(uni(max(n + pad, 21)), *(i.render() for i in s))
+            want = brute_pseudoclosed(n, brute_closed_masks(n, s))
+            got = {p.mask for p in pseudoclosed_sets(padded).pseudoclosed}
+            assert got == want
 
     def test_matches_quasiclosure_definition(self):
         # independent oracle: minimal properly quasiclosed set per closure class

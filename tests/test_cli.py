@@ -369,6 +369,36 @@ class TestErrors:
         )
         assert code == 1 and "--sigma" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["close", "--sigma", "eq38.imp", "--set", "3", "--one-step", "--trace"],
+            ["close", "--sigma", "eq38.imp", "--set", "3", "--quasi", "--one-step"],
+            ["base-gd", "--sigma", "eq38.imp", "--pseudoclosed", "--core"],
+            ["base-gd", "--sigma", "eq38.imp", "--pseudoclosed", "--trim"],
+            ["minimize", "--sigma", "eq38.imp", "--check", "--trim"],
+            ["meetirr", "--sigma", "eq38.imp", "--element", "4", "--method", "brute"],
+            ["stems", "--family", "mf.fam", "--via-dualization"],
+            ["base-dbasis", "--sigma", "eq38.imp", "--verify"],
+        ],
+        ids=lambda argv: " ".join(
+            [argv[0], *(a for a in argv[2:] if a.startswith("--") and a != "--set")]
+        ),
+    )
+    def test_conflicting_or_incomplete_flags_exit_two(self, files, capsys, argv):
+        argv = [files.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_layout_needs_sigma(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            "close", "--family", files["fig4a.fam"], "--set", "3", "--layout", "row",
+        )
+        assert code == 1 and out == "" and "--sigma" in err
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["close"])  # missing required --set

@@ -139,6 +139,52 @@ class TestCloseTrace:
         assert [r.render() for r in tr.rounds] == want
 
 
+def _one_round(sigma: ImplicationSet, m: int) -> int:
+    """S' straight from the definition: S plus every conclusion whose
+    premise lies inside S."""
+    out = m
+    for i in sigma:
+        if i.premise.mask & ~m == 0:
+            out |= i.conclusion.mask
+    return out
+
+
+class TestFoldedRounds:
+    """step, close_trace and is_closed read one round loop; each is checked
+    against the one-round definition and the closed-set oracle."""
+
+    @staticmethod
+    def _theories():
+        u1 = uni(1)
+        yield ImplicationSet(u1, ())
+        yield sig(u1, "-> 1")
+        yield sig(u1, "1 -> 1")
+        yield ImplicationSet(U6, ())
+        yield sig(U6, "-> 2", "2 -> 3 4", "3 4 -> 3", "5 -> 5", "4 -> 1")
+        for case in range(40):
+            rng = rng_for(5800 + case)
+            yield rand_sigma(rng, uni(rng.randint(1, 6)))
+
+    def test_against_oracles(self):
+        for s in self._theories():
+            u = s.universe
+            n = u.size
+            closed = brute_closed_masks(n, s)
+            for m in range(1 << n):
+                x = u.from_mask(m)
+                want = oracle_close(closed, u.full_mask, m)
+                assert step(s, x).mask == _one_round(s, m)
+                assert is_closed(s, x) == (m == want)
+                chain = [m]
+                while True:
+                    chain.append(_one_round(s, chain[-1]))
+                    if chain[-1] == chain[-2]:
+                        break
+                tr = close_trace(s, x)
+                assert [r.mask for r in tr.rounds] == chain
+                assert tr.closure.mask == want
+
+
 class TestCloseFamily:
     def test_meet_irreducible_family(self):
         assert close_family(EQ25_MF, aset(U6, "1 3")) == aset(U6, "1 3 4 5")
@@ -175,8 +221,9 @@ class TestIsClosedEntails:
     def test_other_universe_refused(self):
         # a set over a larger universe must not be read as a mask of [6]
         u7 = uni(7)
-        with pytest.raises(UniverseMismatchError):
-            is_closed(EQ38, aset(u7, "2 5"))
+        for fn in (step, close_trace, is_closed):
+            with pytest.raises(UniverseMismatchError):
+                fn(EQ38, aset(u7, "2 5"))
         with pytest.raises(UniverseMismatchError):
             entails(EQ38, imp(u7, "2 6 -> 7"))
 
@@ -240,10 +287,11 @@ class TestQuasiclosure:
                 assert q.mask & ~c.of_mask(m) == 0
                 assert quasiclosure(s, q) == q
 
-    def test_bound_refusal(self):
+    def test_bound_refusal(self, monkeypatch):
+        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
         u = uni(6)
         with pytest.raises(BoundExceededError):
-            quasiclosure(EQ38, u.full(), bound=3)
+            quasiclosure(EQ38, u.full())
 
     def test_matches_definition_over_intersection_closure(self):
         # oracle evaluates the same fixpoint formula, but with the closure

@@ -96,12 +96,13 @@ class TestStemTable:
                     assert stems_as_masks(t, e) == want[e]
             assert c._memo == {}
 
-    def test_bound_refusal(self):
+    def test_bound_refusal(self, monkeypatch):
         from hornkit import BoundExceededError
         from conftest import EQ15
 
+        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "2")
         with pytest.raises(BoundExceededError):
-            stem_table(EQ15, bound=2)
+            stem_table(EQ15)
 
 
 class TestCanonicalDirect:

@@ -67,6 +67,32 @@ class TestRow012n:
         assert r2.count() == 3 * 8
         assert r2.count() == len(set(r2.members()))
 
+    def test_members_match_brute_membership(self):
+        # random partitions of [7] into ones, zeros, free and 0-3 bubbles;
+        # a subset is a member iff it holds the ones, misses the zeros and
+        # leaves a position of every bubble out
+        u = uni(7)
+        for case in range(60):
+            rng = rng_for(9700 + case)
+            k = case % 4
+            parts = [rng.randrange(3 + k) for _ in range(7)]
+            # every bubble gets at least two positions
+            for i, p in enumerate(rng.sample(range(7), 2 * k)):
+                parts[p] = 3 + i // 2
+            masks = [sum(1 << p for p in range(7) if parts[p] == i) for i in range(3 + k)]
+            bubbles = tuple(masks[3:])
+            r = Row012n(u, masks[0], masks[1], masks[2], bubbles)
+            want = [
+                m
+                for m in range(1 << 7)
+                if m & masks[0] == masks[0]
+                and not m & masks[1]
+                and all(m & b != b for b in bubbles)
+            ]
+            got = list(r.members())
+            assert sorted(got) == want
+            assert r.count() == len(want)
+
     def test_render_symbols(self):
         r = row(U6, zeros="3 6", free="2 4", bubbles=("1 5",))
         assert r.render() == "a 2 0 2 a 0"
