@@ -85,7 +85,7 @@ def trim_conclusions(sigma: ImplicationSet) -> ImplicationSet:
     return ImplicationSet(u, tuple(items))
 
 
-def shock_minimize(sigma: ImplicationSet, trim: bool = False) -> ImplicationSet:
+def shock_minimize(sigma: ImplicationSet) -> ImplicationSet:
     """Minimum base via Shock's method.
 
     Each A -> B becomes the full implication A -> c(A); duplicates merge and
@@ -105,8 +105,7 @@ def shock_minimize(sigma: ImplicationSet, trim: bool = False) -> ImplicationSet:
         if cl == p:
             continue
         fulls.append(Implication(imp.premise, AttrSet(u, cl)))
-    out = remove_redundancy(ImplicationSet(u, tuple(fulls)))
-    return trim_conclusions(out) if trim else out
+    return remove_redundancy(ImplicationSet(u, tuple(fulls)))
 
 
 def is_minimum(sigma: ImplicationSet) -> bool:

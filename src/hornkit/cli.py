@@ -26,23 +26,23 @@ def _read(path: str) -> str:
 
 
 def _load_source(args) -> tuple[Universe, ImplicationSet | SetFamily]:
-    if getattr(args, "sigma", None):
+    if args.sigma:
         universe, sigma = core.load_implications(_read(args.sigma))
         return universe, sigma
-    if getattr(args, "family", None):
+    if args.family:
         universe, family = core.load_family(_read(args.family))
         return universe, family
     raise HornkitError("need --sigma or --family input")
 
 
 def _load_sigma(args) -> tuple[Universe, ImplicationSet]:
-    if not getattr(args, "sigma", None):
+    if not args.sigma:
         raise HornkitError("this verb needs --sigma input")
     return core.load_implications(_read(args.sigma))
 
 
 def _load_gamma(args, universe: Universe) -> SetFamily:
-    if not getattr(args, "gamma", None):
+    if not args.gamma:
         return SetFamily(universe, ())
     g_universe, fam = core.load_family(_read(args.gamma))
     if g_universe != universe:
@@ -82,8 +82,6 @@ def _cmd_close(args) -> None:
     if isinstance(source, SetFamily):
         if args.one_step or args.trace:
             raise HornkitError("--one-step/--trace need a --sigma input")
-        if args.layout != "auto":
-            raise HornkitError("--layout needs a --sigma input")
         _print_set(closure.close_family(source, s))
         return
     if args.one_step:
@@ -92,7 +90,7 @@ def _cmd_close(args) -> None:
         for r in closure.close_trace(source, s).rounds:
             _print_set(r)
     else:
-        _print_set(closure.close(source, s, layout=args.layout))
+        _print_set(closure.close(source, s))
 
 
 def _cmd_entails(args) -> None:
@@ -160,7 +158,10 @@ def _cmd_minimize(args) -> None:
     if args.redundancy_only:
         _print_sigma(canonical.remove_redundancy(sigma))
         return
-    _print_sigma(canonical.shock_minimize(sigma, trim=args.trim))
+    base = canonical.shock_minimize(sigma)
+    if args.trim:
+        base = canonical.trim_conclusions(base)
+    _print_sigma(base)
 
 
 def _cmd_primes(args) -> None:
@@ -190,7 +191,7 @@ def _cmd_meetirr(args) -> None:
     if args.element is not None:
         _print_family(dualize.max_noncovers(source, _element(args.element, universe)))
         return
-    _print_family(dualize.meet_irreducibles(source, method=args.method or "rows"))
+    _print_family(dualize.meet_irreducibles(source))
 
 
 def _cmd_stems(args) -> None:
@@ -298,17 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, fn):
+    def add(name: str, fn, source: bool = False):
         p = sub.add_parser(name)
         # usage_error prints the verb's usage and exits 2, as argparse does
         p.set_defaults(fn=fn, usage_error=p.error)
+        if source:
+            g = p.add_mutually_exclusive_group()
+            g.add_argument("--sigma")
+            g.add_argument("--family")
         return p
 
-    p = add("close", _cmd_close)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    p = add("close", _cmd_close, source=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--layout", choices=("auto", "row", "column"), default="auto")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--quasi", action="store_true")
     g.add_argument("--one-step", dest="one_step", action="store_true")
@@ -322,22 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--sigma2", required=True)
 
-    p = add("base-gd", _cmd_base_gd)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    p = add("base-gd", _cmd_base_gd, source=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--pseudoclosed", action="store_true")
     g.add_argument("--core", action="store_true")
     g.add_argument("--trim", action="store_true")
 
-    p = add("base-direct", _cmd_base_direct)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    p = add("base-direct", _cmd_base_direct, source=True)
     p.add_argument("--classify", action="store_true")
 
-    p = add("base-dbasis", _cmd_base_dbasis)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    p = add("base-dbasis", _cmd_base_dbasis, source=True)
     p.add_argument("--close-set", dest="close_set")
     p.add_argument("--verify", action="store_true")
 
@@ -358,31 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--base", action="store_true")
 
-    p = add("meetirr", _cmd_meetirr)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--method", choices=("rows", "brute"))
-    g.add_argument("--element")
+    p = add("meetirr", _cmd_meetirr, source=True)
+    p.add_argument("--element")
 
-    p = add("stems", _cmd_stems)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    p = add("stems", _cmd_stems, source=True)
     p.add_argument("--element")
     p.add_argument("--via-dualization", dest="via_dualization", action="store_true")
 
-    p = add("dualize", _cmd_dualize)
-    p.add_argument("--family")
-    p.add_argument("--sigma")
+    p = add("dualize", _cmd_dualize, source=True)
     p.add_argument("--cmax-of", dest="cmax_of")
 
-    p = add("keys", _cmd_keys)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    add("keys", _cmd_keys, source=True)
 
-    p = add("enumerate", _cmd_enumerate)
-    p.add_argument("--sigma")
-    p.add_argument("--family")
+    p = add("enumerate", _cmd_enumerate, source=True)
     p.add_argument("--gamma")
     p.add_argument("--expand", action="store_true")
     p.add_argument("--materialize", action="store_true")

@@ -160,13 +160,12 @@ class Closure:
         return AttrSet(self.universe, self.of_mask(s.mask))
 
     @classmethod
-    def from_sigma(cls, sigma: ImplicationSet, layout: str = "auto") -> Closure:
-        """Closure under sigma, evaluated row-wise ("row") or column-wise by
-        LinClosure ("column"). "auto" takes the column kernel: a query
-        touches only the rules whose premises meet the positions it adds."""
-        if layout == "auto":
-            layout = "column"
-        elif layout not in ("row", "column"):
+    def from_sigma(cls, sigma: ImplicationSet, layout: str = "column") -> Closure:
+        """Closure under sigma, evaluated column-wise by LinClosure
+        ("column", the default: a query touches only the rules whose
+        premises meet the positions it adds) or row-wise ("row"). Both give
+        the same sets; ValueError on any other layout."""
+        if layout not in ("row", "column"):
             raise ValueError(f"unknown layout {layout!r}")
         return cls(sigma.universe, _compiled(sigma).kernel(layout))
 
@@ -217,13 +216,10 @@ def step(sigma: ImplicationSet, s: AttrSet) -> AttrSet:
     return AttrSet(s.universe, next(_set_rounds(sigma, s)))
 
 
-def close(sigma: ImplicationSet, s: AttrSet, layout: str = "auto") -> AttrSet:
-    """Forward-chaining closure of s under sigma.
-
-    Row-wise and column-wise (vertical layout) evaluation are bit-identical;
-    layout only selects the internal loop shape.
-    """
-    return Closure.from_sigma(sigma, layout)(s)
+def close(sigma: ImplicationSet, s: AttrSet) -> AttrSet:
+    """Forward-chaining closure of s under sigma, by the column kernel of
+    ``Closure.from_sigma``."""
+    return Closure.from_sigma(sigma)(s)
 
 
 def close_trace(sigma: ImplicationSet, s: AttrSet) -> ClosureTrace:

@@ -189,41 +189,15 @@ def max_noncover_table(source: ClosedSource) -> MaxNonCover:
     return MaxNonCover(universe=u, max_of=max_of, cmax_of=cmax_of)
 
 
-def meet_irreducibles(source: ClosedSource, method: str = "rows") -> SetFamily:
-    """M(F): the union over e of max(F,e).
-
-    method="rows" extracts it from the compressed row representation (the
-    default; family sources scan the family per element instead);
-    method="brute" uses the definition directly: a closed set other than E
-    whose strict closed supersets intersect above it.
-    """
+def meet_irreducibles(source: ClosedSource) -> SetFamily:
+    """M(F): the union over e of max(F,e), read off the compressed rows
+    (family sources scan the family per element instead)."""
     u = source_universe(source)
-    if method == "brute":
-        return _meet_irreducibles_brute(source)
-    if method != "rows":
-        raise ValueError(f"unknown method {method!r}")
     tops = _row_tops(source)
     masks: set[int] = set()
     for e in range(u.size):
         masks.update(_max_avoiding(tops, e))
     return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
-
-
-def _meet_irreducibles_brute(source: ClosedSource) -> SetFamily:
-    u = source.universe
-    closed = [s.mask for s in enumerate_closed_lectic(source)]
-    full = u.full_mask
-    out = []
-    for x in closed:
-        if x == full:
-            continue
-        inter = full
-        for y in closed:
-            if y != x and x & ~y == 0:
-                inter &= y
-        if inter != x:
-            out.append(x)
-    return SetFamily(u, tuple(AttrSet(u, m) for m in out)).canonical()
 
 
 def stems_from_meetirr(m: SetFamily, e: int) -> SetFamily:

@@ -48,6 +48,7 @@ from conftest import (
     U6,
     aset,
     brute_closed_masks,
+    brute_meet_irreducibles,
     exact_min_base_size,
     oracle_close,
     pairs,
@@ -294,7 +295,6 @@ def test_criterion_10_differential_checks():
             rng = rng_for(800_000 + case)  # identical instances to criterion 8
             n = 3 + case % 6
             s = rand_sigma(rng, uni(n))
-            assert (
-                meet_irreducibles(s, method="rows").as_mask_set()
-                == meet_irreducibles(s, method="brute").as_mask_set()
+            assert meet_irreducibles(s).as_mask_set() == brute_meet_irreducibles(
+                n, brute_closed_masks(n, s)
             )

@@ -1,7 +1,14 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 import hornkit.closure
-from hornkit.cli import main
+from hornkit import SetFamily
+from hornkit.cli import build_parser, main
+
+from conftest import EQ38, U6, brute_closed_masks, brute_meet_irreducibles
 
 EQ15_TEXT = """elements: 1 2 3 4 5 6 7 8 9
 1 -> 6
@@ -56,6 +63,21 @@ def files(tmp_path):
     return paths
 
 
+#: the verbs that read --sigma or --family, the other flags they need, and
+#: their message when given neither
+SOURCE_VERBS = (
+    ("close", ["--set", "3"], "need --sigma or --family input"),
+    ("base-gd", [], "need --sigma or --family input"),
+    ("base-direct", [], "need --sigma or --family input"),
+    ("base-dbasis", [], "need --sigma or --family input"),
+    ("meetirr", [], "need --sigma or --family input"),
+    ("stems", [], "need --sigma or --family input"),
+    ("dualize", [], "dualize needs a --family input"),
+    ("keys", [], "need --sigma or --family input"),
+    ("enumerate", [], "this verb needs --sigma input"),
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -101,15 +123,8 @@ class TestVerbTour:
         )
         assert trace.splitlines()[0] == "2 6"
         assert trace.splitlines()[-1] == trace.splitlines()[-2]
-        _, row, _ = run(
-            capsys,
-            "close", "--sigma", files["eq38.imp"], "--set", "2 6", "--layout", "row",
-        )
-        _, col, _ = run(
-            capsys,
-            "close", "--sigma", files["eq38.imp"], "--set", "2 6", "--layout", "column",
-        )
-        assert row == col == "1 2 3 4 5 6\n"
+        _, full, _ = run(capsys, "close", "--sigma", files["eq38.imp"], "--set", "2 6")
+        assert full == "1 2 3 4 5 6\n"
 
     def test_entails(self, files, capsys):
         code, out, _ = run(
@@ -206,10 +221,9 @@ class TestVerbTour:
 
     def test_meetirr_dualize_keys(self, files, capsys):
         _, rows_out, _ = run(capsys, "meetirr", "--sigma", files["eq38.imp"])
-        _, brute_out, _ = run(
-            capsys, "meetirr", "--sigma", files["eq38.imp"], "--method", "brute"
-        )
-        assert rows_out == brute_out
+        brute = brute_meet_irreducibles(6, brute_closed_masks(6, EQ38))
+        want = SetFamily(U6, tuple(U6.from_mask(m) for m in brute)).canonical()
+        assert rows_out == want.render() + "\n"
         assert len(rows_out.splitlines()) == 9
         _, mx, _ = run(
             capsys, "meetirr", "--sigma", files["eq38.imp"], "--element", "4"
@@ -378,6 +392,8 @@ class TestErrors:
             ["base-gd", "--sigma", "eq38.imp", "--pseudoclosed", "--trim"],
             ["minimize", "--sigma", "eq38.imp", "--check", "--trim"],
             ["meetirr", "--sigma", "eq38.imp", "--element", "4", "--method", "brute"],
+            ["meetirr", "--sigma", "eq38.imp", "--method", "rows"],
+            ["close", "--sigma", "eq38.imp", "--set", "3", "--layout", "row"],
             ["stems", "--family", "mf.fam", "--via-dualization"],
             ["base-dbasis", "--sigma", "eq38.imp", "--verify"],
         ],
@@ -392,12 +408,17 @@ class TestErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_layout_needs_sigma(self, files, capsys):
-        code, out, err = run(
-            capsys,
-            "close", "--family", files["fig4a.fam"], "--set", "3", "--layout", "row",
-        )
-        assert code == 1 and out == "" and "--sigma" in err
+    @pytest.mark.parametrize(
+        "verb, extra, neither", SOURCE_VERBS, ids=[v[0] for v in SOURCE_VERBS]
+    )
+    def test_sigma_and_family_exclude_each_other(self, files, capsys, verb, extra, neither):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--sigma", files["eq38.imp"], "--family", files["fig4a.fam"], *extra])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not allowed with argument" in out.err
+        code, out, err = run(capsys, verb, *extra)
+        assert code == 1 and out == "" and err == f"hornkit: {neither}\n"
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -408,3 +429,21 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_readme_table_names_every_flag():
+    # the CLI table in README.md and the parser name the same flags per verb;
+    # the input flags are described once, above the table
+    ignored = {"--sigma", "--family", "--gamma"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        row = re.match(r"\| `([a-z-]+)` \|(.*)", line)
+        if row:
+            documented[row[1]] = set(re.findall(r"--[a-z0-9][a-z0-9-]*", row[2])) - ignored
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(documented) == set(verbs.choices)
+    for verb, sub in verbs.choices.items():
+        flags = {o for a in sub._actions if a.dest != "help" for o in a.option_strings}
+        assert documented[verb] == flags - ignored, verb

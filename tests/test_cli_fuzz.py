@@ -89,8 +89,7 @@ def _argv(rng, verb, files, labels):
     gamma = ["--gamma", files["fam"]] if rng.random() < 0.4 else []
     choice = rng.choice
     if verb == "close":
-        extra = choice([[], ["--quasi"], ["--one-step"], ["--trace"],
-                        ["--layout", choice(["row", "column", "auto"])]])
+        extra = choice([[], ["--quasi"], ["--one-step"], ["--trace"]])
         return [verb, *source(), "--set", pick_set(), *extra]
     if verb == "entails":
         return [verb, *sigma, "--query", f"{pick_set()} -> {pick_set()}"]
@@ -112,7 +111,7 @@ def _argv(rng, verb, files, labels):
     if verb == "acyclic":
         return [verb, *sigma, *choice([[], ["--base"]])]
     if verb == "meetirr":
-        extra = choice([[], ["--method", choice(["rows", "brute"])], ["--element", element()]])
+        extra = choice([[], ["--element", element()]])
         return [verb, *source(), *extra]
     if verb == "stems":
         extra = choice([[], ["--element", element()],

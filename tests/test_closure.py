@@ -82,17 +82,17 @@ class TestClose:
             m = rng.getrandbits(u.size)
             want = oracle_close(brute_closed_masks(u.size, s), u.full_mask, m)
             assert (
-                close(s, u.from_mask(m), layout="row").mask
-                == close(s, u.from_mask(m), layout="column").mask
+                Closure.from_sigma(s, "row").of_mask(m)
+                == Closure.from_sigma(s, "column").of_mask(m)
                 == close(s, u.from_mask(m)).mask
                 == want
             )
 
     def test_unknown_layout_refused(self):
         s = sig(U6, "1 -> 2")
-        for _ in range(2):
+        for layout in ("diagonal", "auto"):
             with pytest.raises(ValueError):
-                Closure.from_sigma(s, "diagonal")
+                Closure.from_sigma(s, layout)
         assert s._compiled is None
 
     def test_wide_universe_multiword(self):

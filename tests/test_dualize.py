@@ -143,8 +143,8 @@ class TestMeetIrreducibles:
             rng = rng_for(28000 + case)
             n = rng.randint(2, 7)
             s = rand_sigma(rng, uni(n))
-            assert masks(meet_irreducibles(s, method="rows")) == masks(
-                meet_irreducibles(s, method="brute")
+            assert masks(meet_irreducibles(s)) == brute_meet_irreducibles(
+                n, brute_closed_masks(n, s)
             )
 
     def test_matches_definitional_oracle(self):
