@@ -1,14 +1,27 @@
 """Command-line front door: parse inputs, dispatch to the library, render
 deterministic text output.
 
+Each verb declares the input it reads when ``build_parser`` adds it:
+``"sigma"`` (an implication file), ``"horn"`` (that file plus an optional
+``--gamma`` family of negative clauses) or ``"source"`` (``--sigma`` or
+``--family``, never both). ``main`` loads ``--sigma`` or ``--family`` once
+and passes the universe and the loaded source to the verb's handler.
+``--gamma`` is read by the one ``HornSystem`` builder, and only ``equiv``
+reads a further file itself (``--sigma2``).
+
 Exit codes: 0 success, 1 domain error (parse failure, universe mismatch,
 a stem search or quasiclosure over its size limit, ...), 2 usage error
-(also for flags that exclude each other).
+(also for flags that exclude each other). A reader that closes stdout
+early (``hornkit ... | head -1``) also gives exit 1, with no traceback:
+as the Python ``signal`` documentation recommends for ``BrokenPipeError``,
+stdout is then pointed at ``os.devnull`` so the flush at shutdown stays
+silent.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -25,29 +38,23 @@ def _read(path: str) -> str:
         raise HornkitError(f"cannot read {path}: {exc}")
 
 
-def _load_source(args) -> tuple[Universe, ImplicationSet | SetFamily]:
+def _load(args) -> tuple[Universe, ImplicationSet | SetFamily]:
     if args.sigma:
-        universe, sigma = core.load_implications(_read(args.sigma))
-        return universe, sigma
+        return core.load_implications(_read(args.sigma))
     if args.family:
-        universe, family = core.load_family(_read(args.family))
-        return universe, family
+        return core.load_family(_read(args.family))
     raise HornkitError("need --sigma or --family input")
 
 
-def _load_sigma(args) -> tuple[Universe, ImplicationSet]:
-    if not args.sigma:
+def _horn_system(args, universe: Universe, source) -> rows.HornSystem:
+    if not isinstance(source, ImplicationSet):
         raise HornkitError("this verb needs --sigma input")
-    return core.load_implications(_read(args.sigma))
-
-
-def _load_gamma(args, universe: Universe) -> SetFamily:
-    if not args.gamma:
-        return SetFamily(universe, ())
-    g_universe, fam = core.load_family(_read(args.gamma))
-    if g_universe != universe:
-        raise UniverseMismatchError("--gamma universe differs from the input's")
-    return fam
+    gamma = SetFamily(universe, ())
+    if args.gamma:
+        g_universe, gamma = core.load_family(_read(args.gamma))
+        if g_universe != universe:
+            raise UniverseMismatchError("--gamma universe differs from the input's")
+    return rows.HornSystem(source, gamma)
 
 
 def _element(label: str, universe: Universe) -> int:
@@ -73,8 +80,7 @@ def _print_sigma(sigma: ImplicationSet) -> None:
         print(out)
 
 
-def _cmd_close(args) -> None:
-    universe, source = _load_source(args)
+def _cmd_close(args, universe, source) -> None:
     s = universe.parse_set(args.set)
     if args.quasi:
         _print_set(closure.quasiclosure(source, s))
@@ -93,22 +99,19 @@ def _cmd_close(args) -> None:
         _print_set(closure.close(source, s))
 
 
-def _cmd_entails(args) -> None:
-    universe, sigma = _load_sigma(args)
+def _cmd_entails(args, universe, sigma) -> None:
     query = core.parse_implication(args.query, universe)
     print("true" if closure.entails(sigma, query) else "false")
 
 
-def _cmd_equiv(args) -> None:
-    universe, sigma = _load_sigma(args)
+def _cmd_equiv(args, universe, sigma) -> None:
     universe2, sigma2 = core.load_implications(_read(args.sigma2))
     if universe2 != universe:
         raise UniverseMismatchError("the two families use different universes")
     print("true" if closure.equivalent(sigma, sigma2) else "false")
 
 
-def _cmd_base_gd(args) -> None:
-    universe, source = _load_source(args)
+def _cmd_base_gd(args, universe, source) -> None:
     if args.pseudoclosed or args.core:
         report = canonical.pseudoclosed_sets(source)
         _print_family(report.essential_closures if args.core else report.pseudoclosed)
@@ -119,8 +122,7 @@ def _cmd_base_gd(args) -> None:
     _print_sigma(base)
 
 
-def _cmd_base_direct(args) -> None:
-    universe, source = _load_source(args)
+def _cmd_base_direct(args, universe, source) -> None:
     if args.classify:
         table = direct.stem_table(source)
         for stem, cls in direct.classify_stems(table, source).items():
@@ -131,21 +133,17 @@ def _cmd_base_direct(args) -> None:
     _print_sigma(direct.canonical_direct(source))
 
 
-def _cmd_base_dbasis(args) -> None:
-    if args.verify and args.close_set is None:
-        args.usage_error("--verify needs --close-set")
-    universe, source = _load_source(args)
+def _cmd_base_dbasis(args, universe, source) -> None:
     ordered = direct.d_basis(source)
     if args.close_set is not None:
         s = universe.parse_set(args.close_set)
-        _print_set(direct.ordered_close(ordered, s, verify=args.verify))
+        _print_set(direct.ordered_close(ordered, s, verify=True))
         return
     if ordered.items:
         print(ordered.render())
 
 
-def _cmd_minimize(args) -> None:
-    universe, sigma = _load_sigma(args)
+def _cmd_minimize(args, universe, sigma) -> None:
     if args.check:
         print("true" if canonical.is_minimum(sigma) else "false")
         return
@@ -164,8 +162,7 @@ def _cmd_minimize(args) -> None:
     _print_sigma(base)
 
 
-def _cmd_primes(args) -> None:
-    universe, sigma = _load_sigma(args)
+def _cmd_primes(args, universe, sigma) -> None:
     if args.check is not None:
         query = core.parse_implication(args.check, universe)
         print("true" if primes.is_prime_implicate(sigma, query) else "false")
@@ -173,8 +170,7 @@ def _cmd_primes(args) -> None:
     _print_sigma(primes.unit_primes(sigma))
 
 
-def _cmd_acyclic(args) -> None:
-    universe, sigma = _load_sigma(args)
+def _cmd_acyclic(args, universe, sigma) -> None:
     if args.base:
         _print_sigma(primes.acyclic_base(sigma))
         return
@@ -186,21 +182,16 @@ def _cmd_acyclic(args) -> None:
         print(f"false  cycle: {walk}")
 
 
-def _cmd_meetirr(args) -> None:
-    universe, source = _load_source(args)
+def _cmd_meetirr(args, universe, source) -> None:
     if args.element is not None:
         _print_family(dualize.max_noncovers(source, _element(args.element, universe)))
         return
     _print_family(dualize.meet_irreducibles(source))
 
 
-def _cmd_stems(args) -> None:
-    if args.via_dualization and args.element is None:
-        args.usage_error("--via-dualization needs --element")
-    universe, source = _load_source(args)
-    if args.via_dualization:
-        if not isinstance(source, SetFamily):
-            raise HornkitError("--via-dualization needs a --family input")
+def _cmd_stems(args, universe, source) -> None:
+    if args.element is not None and isinstance(source, SetFamily):
+        # one element of a family: mtr(cmax(F,e)), with no stem-search limit
         _print_family(dualize.stems_from_meetirr(source, _element(args.element, universe)))
         return
     table = direct.stem_table(source)
@@ -212,62 +203,46 @@ def _cmd_stems(args) -> None:
             print(f"{universe.labels[pos]}: {stem.render() or '-'}")
 
 
-def _cmd_dualize(args) -> None:
+def _cmd_dualize(args, universe, source) -> None:
     if args.cmax_of is not None:
-        universe, source = _load_source(args)
         table = direct.stem_table(source)
         _print_family(dualize.cmax_from_stems(table, _element(args.cmax_of, universe)))
         return
-    if not args.family:
+    if not isinstance(source, SetFamily):
         raise HornkitError("dualize needs a --family input")
-    universe, fam = core.load_family(_read(args.family))
-    _print_family(dualize.minimal_transversals(fam))
+    _print_family(dualize.minimal_transversals(source))
 
 
-def _cmd_keys(args) -> None:
-    universe, source = _load_source(args)
+def _cmd_keys(args, universe, source) -> None:
     _print_family(dualize.minimal_keys(source))
 
 
-def _horn_system(args) -> rows.HornSystem:
-    universe, sigma = _load_sigma(args)
-    gamma = _load_gamma(args, universe)
-    return rows.HornSystem(sigma, gamma)
-
-
-def _cmd_enumerate(args) -> None:
+def _cmd_enumerate(args, universe, source) -> None:
     if args.lectic:
-        if args.expand or args.materialize:
-            args.usage_error("--lectic cannot be combined with --expand or --materialize")
         if args.gamma:
-            listing = rows.enumerate_horn_lectic(_horn_system(args))
+            listing = rows.enumerate_horn_lectic(_horn_system(args, universe, source))
         else:
-            universe, source = _load_source(args)
             listing = closure.enumerate_closed_lectic(source)
         for s in listing:
             _print_set(s)
         return
-    h = _horn_system(args)
-    system = rows.enumerate_horn(h)
+    system = rows.enumerate_horn(_horn_system(args, universe, source))
+    if args.materialize:
+        _print_family(SetFamily(universe, tuple(system.members())))
+        return
     if args.expand:
         system = rows.to_012(system)
-    if args.materialize:
-        fam = SetFamily(h.universe, tuple(system.members()))
-        _print_family(fam)
-        return
     out = system.render()
     if out:
         print(out)
 
 
-def _cmd_count(args) -> None:
-    h = _horn_system(args)
-    print(rows.count(h))
+def _cmd_count(args, universe, source) -> None:
+    print(rows.count(_horn_system(args, universe, source)))
 
 
-def _cmd_sat(args) -> None:
-    h = _horn_system(args)
-    ok, witness = rows.horn_satisfiable(h)
+def _cmd_sat(args, universe, source) -> None:
+    ok, witness = rows.horn_satisfiable(_horn_system(args, universe, source))
     if ok:
         print("satisfiable")
         if args.format == "text":
@@ -278,16 +253,14 @@ def _cmd_sat(args) -> None:
         print("unsatisfiable")
 
 
-def _cmd_compress(args) -> None:
-    h = _horn_system(args)
-    out = rows.near_minimum_base(h)
+def _cmd_compress(args, universe, source) -> None:
+    out = rows.near_minimum_base(_horn_system(args, universe, source))
     _print_sigma(out.sigma)
     for aset in out.gamma.canonical():
         print(f"! {aset.render() or '-'}")
 
 
-def _cmd_measures(args) -> None:
-    universe, sigma = _load_sigma(args)
+def _cmd_measures(args, universe, sigma) -> None:
     m = core.measures(sigma)
     print(f"ca={m.ca} s={m.s} lhs={m.lhs} rhs={m.rhs}")
 
@@ -299,46 +272,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, fn, source: bool = False):
+    def add(name: str, fn, *reads: str):
+        """The verb's parser, with the input flags of the kinds it reads:
+        "sigma" (--sigma), "horn" (also --gamma) or "source" (--sigma or
+        --family)."""
         p = sub.add_parser(name)
-        # usage_error prints the verb's usage and exits 2, as argparse does
-        p.set_defaults(fn=fn, usage_error=p.error)
-        if source:
+        p.set_defaults(fn=fn, family=None)
+        if "source" in reads:
             g = p.add_mutually_exclusive_group()
             g.add_argument("--sigma")
             g.add_argument("--family")
+        else:
+            p.add_argument("--sigma", required=True)
+        if "horn" in reads:
+            p.add_argument("--gamma")
         return p
 
-    p = add("close", _cmd_close, source=True)
+    p = add("close", _cmd_close, "source")
     p.add_argument("--set", required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--quasi", action="store_true")
     g.add_argument("--one-step", dest="one_step", action="store_true")
     g.add_argument("--trace", action="store_true")
 
-    p = add("entails", _cmd_entails)
-    p.add_argument("--sigma", required=True)
+    p = add("entails", _cmd_entails, "sigma")
     p.add_argument("--query", required=True)
 
-    p = add("equiv", _cmd_equiv)
-    p.add_argument("--sigma", required=True)
+    p = add("equiv", _cmd_equiv, "sigma")
     p.add_argument("--sigma2", required=True)
 
-    p = add("base-gd", _cmd_base_gd, source=True)
+    p = add("base-gd", _cmd_base_gd, "source")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--pseudoclosed", action="store_true")
     g.add_argument("--core", action="store_true")
     g.add_argument("--trim", action="store_true")
 
-    p = add("base-direct", _cmd_base_direct, source=True)
+    p = add("base-direct", _cmd_base_direct, "source")
     p.add_argument("--classify", action="store_true")
 
-    p = add("base-dbasis", _cmd_base_dbasis, source=True)
+    p = add("base-dbasis", _cmd_base_dbasis, "source")
     p.add_argument("--close-set", dest="close_set")
-    p.add_argument("--verify", action="store_true")
 
-    p = add("minimize", _cmd_minimize)
-    p.add_argument("--sigma", required=True)
+    p = add("minimize", _cmd_minimize, "sigma")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--trim", action="store_true")
     g.add_argument("--redundancy-only", dest="redundancy_only", action="store_true")
@@ -346,47 +321,37 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--unit-expand", dest="unit_expand", action="store_true")
     g.add_argument("--aggregate", action="store_true")
 
-    p = add("primes", _cmd_primes)
-    p.add_argument("--sigma", required=True)
+    p = add("primes", _cmd_primes, "sigma")
     p.add_argument("--check")
 
-    p = add("acyclic", _cmd_acyclic)
-    p.add_argument("--sigma", required=True)
+    p = add("acyclic", _cmd_acyclic, "sigma")
     p.add_argument("--base", action="store_true")
 
-    p = add("meetirr", _cmd_meetirr, source=True)
+    p = add("meetirr", _cmd_meetirr, "source")
     p.add_argument("--element")
 
-    p = add("stems", _cmd_stems, source=True)
+    p = add("stems", _cmd_stems, "source")
     p.add_argument("--element")
-    p.add_argument("--via-dualization", dest="via_dualization", action="store_true")
 
-    p = add("dualize", _cmd_dualize, source=True)
+    p = add("dualize", _cmd_dualize, "source")
     p.add_argument("--cmax-of", dest="cmax_of")
 
-    add("keys", _cmd_keys, source=True)
+    add("keys", _cmd_keys, "source")
 
-    p = add("enumerate", _cmd_enumerate, source=True)
-    p.add_argument("--gamma")
-    p.add_argument("--expand", action="store_true")
-    p.add_argument("--materialize", action="store_true")
-    p.add_argument("--lectic", action="store_true")
+    p = add("enumerate", _cmd_enumerate, "source", "horn")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--expand", action="store_true")
+    g.add_argument("--materialize", action="store_true")
+    g.add_argument("--lectic", action="store_true")
 
-    p = add("count", _cmd_count)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--gamma")
+    add("count", _cmd_count, "horn")
 
-    p = add("sat", _cmd_sat)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--gamma")
+    p = add("sat", _cmd_sat, "horn")
     p.add_argument("--format", choices=("text", "lines"), default="text")
 
-    p = add("compress", _cmd_compress)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--gamma")
+    add("compress", _cmd_compress, "horn")
 
-    p = add("measures", _cmd_measures)
-    p.add_argument("--sigma", required=True)
+    add("measures", _cmd_measures, "sigma")
 
     return parser
 
@@ -395,9 +360,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.fn(args)
+        universe, source = _load(args)
+        args.fn(args, universe, source)
+        sys.stdout.flush()
     except HornkitError as exc:
         print(f"hornkit: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
     return 0
 

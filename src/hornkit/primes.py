@@ -137,11 +137,13 @@ def unit_primes(sigma: ImplicationSet) -> ImplicationSet:
     stem and each of its roots, the clauses consensus_closure would reach
     from sigma's, in the same order.
     """
+    u = sigma.universe
     table = StemTable.of(sigma)
-    clauses = [
-        HornClause(stem, e) for stem, roots in table.roots_of.items() for e in roots
-    ]
-    return implications_of(clauses, sigma.universe)
+    items = tuple(
+        Implication(stem, AttrSet(u, 1 << e))
+        for stem, roots in table.roots_of.items() for e in roots
+    )
+    return ImplicationSet(u, items).sorted()
 
 
 def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) -> bool:

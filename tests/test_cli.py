@@ -1,5 +1,8 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,9 +75,23 @@ SOURCE_VERBS = (
     ("base-dbasis", [], "need --sigma or --family input"),
     ("meetirr", [], "need --sigma or --family input"),
     ("stems", [], "need --sigma or --family input"),
-    ("dualize", [], "dualize needs a --family input"),
+    ("dualize", [], "need --sigma or --family input"),
     ("keys", [], "need --sigma or --family input"),
-    ("enumerate", [], "this verb needs --sigma input"),
+    ("enumerate", [], "need --sigma or --family input"),
+)
+
+#: the verbs that read --sigma alone (with --gamma on count, sat and
+#: compress), and the other flags they need
+SIGMA_VERBS = (
+    ("entails", ["--query", "2 -> 1"]),
+    ("equiv", ["--sigma2", "eq38.imp"]),
+    ("minimize", []),
+    ("primes", []),
+    ("acyclic", []),
+    ("measures", []),
+    ("count", []),
+    ("sat", []),
+    ("compress", []),
 )
 
 
@@ -155,12 +172,28 @@ class TestVerbTour:
             capsys, "stems", "--family", files["mf.fam"], "--element", "4"
         )
         assert out.splitlines() == ["1 3", "1 5", "1 6", "2 3", "2 6"]
-        _, out2, _ = run(
-            capsys,
-            "stems", "--family", files["mf.fam"], "--element", "4",
-            "--via-dualization",
+        # --element on a family takes mtr(cmax(F,e)); the full listing takes
+        # the stem table: the two agree
+        _, table, _ = run(capsys, "stems", "--family", files["mf.fam"])
+        assert [l[3:] for l in table.splitlines() if l.startswith("4: ")] == out.splitlines()
+
+    def test_family_stems_of_one_element_have_no_size_limit(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # MF padded to 24 elements; the 18 new ones are in every member
+        monkeypatch.delenv("HORNKIT_MAX_EXHAUSTIVE", raising=False)
+        pad = " ".join(str(i) for i in range(7, 25))
+        members = MF_TEXT.splitlines()[1:]
+        padded = tmp_path / "mf24.fam"
+        padded.write_text(
+            f"elements: 1 2 3 4 5 6 {pad}\n" + "".join(f"{m} {pad}\n" for m in members),
+            encoding="utf-8",
         )
-        assert out2 == out
+        code, out, _ = run(capsys, "stems", "--family", str(padded), "--element", "4")
+        assert code == 0
+        assert out.splitlines() == ["1 3", "1 5", "1 6", "2 3", "2 6"]
+        code, out, err = run(capsys, "stems", "--family", str(padded))
+        assert code == 1 and out == ""
+        assert err == "hornkit: stem search over 24 premise elements (bound 20)\n"
 
     def test_base_dbasis(self, files, capsys, tmp_path):
         lat = tmp_path / "lat.imp"
@@ -174,7 +207,7 @@ class TestVerbTour:
         assert len(lines) == 10
         assert all(len(l.split("->")[0].split()) == 1 for l in lines[:5])
         _, closed, _ = run(
-            capsys, "base-dbasis", "--sigma", str(lat), "--close-set", "2 5", "--verify"
+            capsys, "base-dbasis", "--sigma", str(lat), "--close-set", "2 5"
         )
         assert closed == "1 2 3 4 5 6\n"
 
@@ -396,6 +429,9 @@ class TestErrors:
             ["close", "--sigma", "eq38.imp", "--set", "3", "--layout", "row"],
             ["stems", "--family", "mf.fam", "--via-dualization"],
             ["base-dbasis", "--sigma", "eq38.imp", "--verify"],
+            ["base-dbasis", "--sigma", "eq38.imp", "--close-set", "3", "--verify"],
+            ["stems", "--family", "mf.fam", "--element", "4", "--via-dualization"],
+            ["enumerate", "--sigma", "eq38.imp", "--expand", "--materialize"],
         ],
         ids=lambda argv: " ".join(
             [argv[0], *(a for a in argv[2:] if a.startswith("--") and a != "--set")]
@@ -419,6 +455,56 @@ class TestErrors:
         assert out.out == "" and "not allowed with argument" in out.err
         code, out, err = run(capsys, verb, *extra)
         assert code == 1 and out == "" and err == f"hornkit: {neither}\n"
+
+    @pytest.mark.parametrize(
+        "verb, extra", SIGMA_VERBS, ids=[v[0] for v in SIGMA_VERBS]
+    )
+    def test_family_refused_where_sigma_is_read(self, files, capsys, verb, extra):
+        extra = [files.get(a, a) for a in extra]
+        for argv in (
+            [verb, "--family", files["mf.fam"], *extra],
+            [verb, "--sigma", files["eq38.imp"], "--family", files["mf.fam"], *extra],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        code, _, _ = run(capsys, verb, "--sigma", files["eq38.imp"], *extra)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "verb, extra", [v[:2] for v in SOURCE_VERBS], ids=[v[0] for v in SOURCE_VERBS]
+    )
+    def test_family_accepted_where_a_source_is_read(self, files, capsys, verb, extra):
+        code, out, err = run(capsys, verb, "--family", files["mf.fam"], *extra)
+        if verb == "enumerate":  # its rows need implications; --lectic takes a family
+            assert code == 1 and err == "hornkit: this verb needs --sigma input\n"
+            code, out, err = run(capsys, verb, "--family", files["mf.fam"], "--lectic")
+        assert code == 0 and out and err == ""
+
+    def test_every_verb_declares_its_input(self):
+        parser = build_parser()
+        verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(verbs.choices) == {v[0] for v in SOURCE_VERBS + SIGMA_VERBS}
+
+    @pytest.mark.parametrize("flag", ["--lectic", "--materialize"])
+    def test_reader_closing_the_pipe_early(self, tmp_path, flag):
+        # 2^14 closed sets: far more output than a pipe buffers, so the
+        # writer is still printing when the reader goes away
+        wide = tmp_path / "wide.imp"
+        wide.write_text("elements: " + " ".join(map(str, range(1, 15))) + "\n1 -> 2\n",
+                        encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hornkit.cli", "enumerate", "--sigma", str(wide), flag],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

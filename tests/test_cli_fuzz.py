@@ -100,8 +100,7 @@ def _argv(rng, verb, files, labels):
     if verb == "base-direct":
         return [verb, *source(), *choice([[], ["--classify"]])]
     if verb == "base-dbasis":
-        extra = choice([[], ["--close-set", pick_set()], ["--close-set", pick_set(), "--verify"]])
-        return [verb, *source(), *extra]
+        return [verb, *source(), *choice([[], ["--close-set", pick_set()]])]
     if verb == "minimize":
         extra = choice([[], ["--trim"], ["--redundancy-only"], ["--check"],
                         ["--unit-expand"], ["--aggregate"]])
@@ -114,9 +113,7 @@ def _argv(rng, verb, files, labels):
         extra = choice([[], ["--element", element()]])
         return [verb, *source(), *extra]
     if verb == "stems":
-        extra = choice([[], ["--element", element()],
-                        ["--element", element(), "--via-dualization"]])
-        return [verb, *source(), *extra]
+        return [verb, *source(), *choice([[], ["--element", element()]])]
     if verb == "dualize":
         return [verb, *choice([["--family", files["fam"]],
                                [*source(), "--cmax-of", element()]])]
