@@ -205,8 +205,9 @@ def _cmd_stems(args, universe, source) -> None:
 
 def _cmd_dualize(args, universe, source) -> None:
     if args.cmax_of is not None:
-        table = direct.stem_table(source)
-        _print_family(dualize.cmax_from_stems(table, _element(args.cmax_of, universe)))
+        # cmax(F,e): the complements of max(F,e), with no stem-search limit
+        maxes = dualize.max_noncovers(source, _element(args.cmax_of, universe))
+        _print_family(SetFamily(universe, tuple(s.complement() for s in maxes)))
         return
     if not isinstance(source, SetFamily):
         raise HornkitError("dualize needs a --family input")

@@ -1,5 +1,12 @@
 """Forward-chaining closure, family-intersection closure, quasiclosure,
-semantic consequence, and lectic enumeration of closed sets.
+semantic consequence, and every engine that lists closed sets: the 012n
+row engine (the closed sets of Σ, or the models of Σ plus complications,
+as disjoint rows) and the lectic listings read off those rows or made by
+NextClosure.
+
+This module imports only ``core`` and ``errors``. ``rows`` wraps the row
+engine in its public ``Row012n``/``RowSystem`` values, and ``dualize``
+reads max(F,e) off the same rows.
 """
 
 from __future__ import annotations
@@ -8,7 +15,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Union
 
-from . import rows
 from .core import (
     AttrSet,
     ImplicationSet,
@@ -78,8 +84,9 @@ def _close_columnwise(
     return closed
 
 
-def _compile_columnwise(n: int, pairs: Pairs) -> Callable[[int], int]:
-    occ: list[list[int]] = [[] for _ in range(n)]
+def _compile_columnwise(sigma: ImplicationSet) -> Callable[[int], int]:
+    pairs = sigma.mask_pairs()
+    occ: list[list[int]] = [[] for _ in range(sigma.universe.size)]
     axioms = 0
     for i, (prem, conc) in enumerate(pairs):
         if not prem:
@@ -99,38 +106,28 @@ def _close_family(full: int, members: list[int], mask: int) -> int:
     return acc
 
 
-class _Compiled:
-    """Mask pairs and closure kernels of one implication family.
+_COMPILERS: dict[str, Callable[..., Callable[[int], int]]] = {
+    "row": lambda sigma: partial(_close_rowwise, sigma.mask_pairs()),
+    "column": _compile_columnwise,
+    "family": lambda family: partial(_close_family, family.universe.full_mask, family.masks()),
+}
 
-    Kept in the family's ``_compiled`` slot, so a family compiles once
-    however many operators and queries are made from it; the family is
-    frozen, so nothing here goes stale.
+
+def _kernel(source: ImplicationSet | SetFamily, key: str) -> Callable[[int], int]:
+    """The source's closure kernel of kind key, compiled on first use.
+
+    The kernels live in a dict in the source's ``_compiled`` slot, so a
+    family compiles once however many operators and queries are made from
+    it; the source is frozen, so nothing there goes stale.
     """
-
-    __slots__ = ("n", "pairs", "kernels")
-
-    def __init__(self, sigma: ImplicationSet):
-        self.n = sigma.universe.size
-        self.pairs = sigma.mask_pairs()
-        self.kernels: dict[str, Callable[[int], int]] = {}
-
-    def kernel(self, layout: str) -> Callable[[int], int]:
-        fn = self.kernels.get(layout)
-        if fn is None:
-            if layout == "row":
-                fn = partial(_close_rowwise, self.pairs)
-            else:
-                fn = _compile_columnwise(self.n, self.pairs)
-            self.kernels[layout] = fn
-        return fn
-
-
-def _compiled(sigma: ImplicationSet) -> _Compiled:
-    got = sigma._compiled
-    if got is None:
-        got = _Compiled(sigma)
-        object.__setattr__(sigma, "_compiled", got)
-    return got
+    kernels = source._compiled
+    if kernels is None:
+        kernels = {}
+        object.__setattr__(source, "_compiled", kernels)
+    fn = kernels.get(key)
+    if fn is None:
+        fn = kernels[key] = _COMPILERS[key](source)
+    return fn
 
 
 class Closure:
@@ -167,15 +164,11 @@ class Closure:
         the same sets; ValueError on any other layout."""
         if layout not in ("row", "column"):
             raise ValueError(f"unknown layout {layout!r}")
-        return cls(sigma.universe, _compiled(sigma).kernel(layout))
+        return cls(sigma.universe, _kernel(sigma, layout))
 
     @classmethod
     def from_family(cls, family: SetFamily) -> Closure:
-        fn = family._compiled
-        if fn is None:
-            fn = partial(_close_family, family.universe.full_mask, family.masks())
-            object.__setattr__(family, "_compiled", fn)
-        return cls(family.universe, fn)
+        return cls(family.universe, _kernel(family, "family"))
 
     @classmethod
     def wrap(cls, source: ClosureSource) -> Closure:
@@ -208,7 +201,7 @@ class ClosureTrace:
 def _set_rounds(sigma: ImplicationSet, s: AttrSet) -> Iterator[int]:
     if s.universe != sigma.universe:
         raise UniverseMismatchError("set and family in different universes")
-    return _rounds(_compiled(sigma).pairs, s.mask)
+    return _rounds(sigma.mask_pairs(), s.mask)
 
 
 def step(sigma: ImplicationSet, s: AttrSet) -> AttrSet:
@@ -289,6 +282,128 @@ def quasiclosure(source: ClosureSource, s: AttrSet) -> AttrSet:
         cur = acc
 
 
+# A row in flight: (ones, zeros, free, bubbles), the fields of a Row012n
+# without its universe. The splitters below work on these plain tuples and
+# append their output rows to a list; Row012n, with its partition check, is
+# built once per row that goes back to a caller.
+Row = tuple[int, int, int, tuple[int, ...]]
+
+
+def _force_ones(row: Row, m: int) -> Row | None:
+    """Restrict the row to subsets containing m; None when that is empty."""
+    ones, zeros, free, bubbles = row
+    if m & zeros:
+        return None
+    kept = []
+    for b in bubbles:
+        rest = b & ~m
+        if rest == b:
+            kept.append(b)
+        elif rest == 0:
+            return None  # bubble fully forced present, but it needs a 0
+        elif rest.bit_count() == 1:
+            zeros |= rest
+        else:
+            kept.append(rest)
+    return ones | m, zeros, free & ~m, tuple(kept)
+
+
+def _at_least_one_zero(row: Row, amask: int, out: list[Row]) -> None:
+    """Append rows covering exactly the members of row missing part of amask."""
+    ones, zeros, free, bubbles = row
+    if amask & zeros:
+        out.append(row)
+        return
+    for b in bubbles:
+        if b & ~amask == 0:
+            out.append(row)  # some bubble lies inside amask, so a 0 is certain
+            return
+    cand = amask & ~ones
+    if cand == 0:
+        return  # amask forced fully present
+    in_bubbles = cand & ~free
+    if in_bubbles == 0:
+        # all candidate positions free: one new bubble (or a lone 0)
+        if cand.bit_count() == 1:
+            out.append((ones, zeros | cand, free & ~cand, bubbles))
+        else:
+            out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
+        return
+    # a candidate position sits inside an existing bubble: branch on it
+    p = in_bubbles & -in_bubbles
+    b = next(b for b in bubbles if b & p)
+    others = tuple(x for x in bubbles if x != b)
+    # p absent: its bubble is satisfied, remaining bubble positions run free
+    out.append((ones, zeros | p, free | (b & ~p), others))
+    # p present: the bubble shrinks and the rest of amask must miss something
+    with_p = _force_ones(row, p)
+    if with_p is not None:
+        _at_least_one_zero(with_p, amask & ~p, out)
+
+
+def _impose(
+    rows: list[Row], pairs: Iterable[tuple[int, int]], complications: Iterable[int]
+) -> list[Row]:
+    """Filter the rows by each (premise, conclusion) mask pair in turn, then
+    by each complication mask; the rows stay pairwise disjoint."""
+    for amask, bmask in pairs:
+        out: list[Row] = []
+        for row in rows:
+            ones, zeros, _, bubbles = row
+            # a row left whole: the premise cannot hold (a forced 0, or a
+            # bubble inside it), or the conclusion is certain when it does
+            if amask & zeros or not bmask & ~(amask | ones):
+                out.append(row)
+                continue
+            for b in bubbles:
+                if not b & ~amask:
+                    out.append(row)
+                    break
+            else:
+                # split: the members missing part of the premise, then
+                # those holding premise and conclusion
+                _at_least_one_zero(row, amask, out)
+                forced = _force_ones(row, amask | bmask)
+                if forced is not None:
+                    out.append(forced)
+        rows = out
+    for amask in complications:
+        out = []
+        for row in rows:
+            _at_least_one_zero(row, amask, out)
+        rows = out
+    return rows
+
+
+def _model_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    full: Row = (0, 0, sigma.universe.full_mask, ())
+    return _impose([full], sigma.mask_pairs(), complications)
+
+
+def _expand_bubbles(row: Row, out: list[Row]) -> None:
+    ones, zeros, free, bubbles = row
+    if not bubbles:
+        out.append(row)
+        return
+    rest = bubbles[1:]
+    before = 0  # the bubble's positions below p, present in p's row
+    after = bubbles[0]
+    while after:
+        p = after & -after
+        after ^= p
+        _expand_bubbles((ones | before, zeros | p, free | after, rest), out)
+        before |= p
+
+
+def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    """Bubble-free rows of the closed sets of sigma that cover no
+    complication mask, as plain tuples: the rows of to_012(enumerate_horn)."""
+    out: list[Row] = []
+    for row in _model_rows(sigma, complications):
+        _expand_bubbles(row, out)
+    return out
+
+
 def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
     """Yield every closed set exactly once, in lectic order.
 
@@ -298,11 +413,11 @@ def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
     rows, goes through NextClosure.
     """
     if isinstance(source, ImplicationSet):
-        return lectic_from_rows(source.universe, rows.flat_rows(source))
+        return lectic_from_rows(source.universe, flat_rows(source))
     return _next_closure(Closure.wrap(source))
 
 
-def lectic_from_rows(universe: Universe, flat: Iterable[rows.Row]) -> Iterator[AttrSet]:
+def lectic_from_rows(universe: Universe, flat: Iterable[Row]) -> Iterator[AttrSet]:
     """The members of disjoint bubble-free rows, in lectic order.
 
     A member m is sorted as one plain integer: m with its bits reversed in

@@ -118,14 +118,6 @@ class Universe:
     def from_mask(self, mask: int) -> AttrSet:
         return AttrSet(self, mask)
 
-    def from_positions(self, positions: Iterable[int]) -> AttrSet:
-        mask = 0
-        for pos in positions:
-            if not 0 <= pos < self.size:
-                raise UniverseMismatchError(f"position {pos} outside universe")
-            mask |= 1 << pos
-        return AttrSet(self, mask)
-
     def empty(self) -> AttrSet:
         return AttrSet(self, 0)
 
@@ -229,8 +221,9 @@ class ImplicationSet:
 
     universe: Universe
     items: tuple[Implication, ...]
-    #: compiled closure kernel, filled on first use by ``hornkit.closure``;
-    #: not part of the value, so it stays out of eq, hash, repr and pickles
+    #: dict of compiled closure kernels ("row", "column"), filled on first
+    #: use by ``hornkit.closure``; not part of the value, so it stays out of
+    #: eq, hash, repr and pickles
     _compiled: object = field(
         default=None, init=False, compare=False, hash=False, repr=False
     )
@@ -268,7 +261,7 @@ class SetFamily:
 
     universe: Universe
     sets: tuple[AttrSet, ...]
-    #: compiled closure kernel, as on ImplicationSet
+    #: dict holding the family's one closure kernel, as on ImplicationSet
     _compiled: object = field(
         default=None, init=False, compare=False, hash=False, repr=False
     )

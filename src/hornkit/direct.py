@@ -104,9 +104,6 @@ class OrderedBase:
     def binary_part(self) -> tuple[Implication, ...]:
         return self.items[: self.binary_count]
 
-    def order_minimal_part(self) -> tuple[Implication, ...]:
-        return self.items[self.binary_count :]
-
     def as_sigma(self) -> ImplicationSet:
         return ImplicationSet(self.universe, self.items)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .closure import ClosureSource, enumerate_closed_lectic, source_universe
+from .closure import ClosureSource, enumerate_closed_lectic, flat_rows, source_universe
 from .core import (
     AttrSet,
     Implication,
@@ -19,7 +19,6 @@ from .core import (
     extreme_masks,
 )
 from .errors import UniverseMismatchError
-from .rows import flat_rows
 
 
 def _transversal_masks(edges: list[int]) -> list[int]:
@@ -114,16 +113,6 @@ class StemTable:
     universe: Universe
     stems_of: dict[int, SetFamily]  # position -> antichain of stems
     roots_of: dict[AttrSet, AttrSet]  # stem -> its roots
-
-    def stems(self, e: int) -> SetFamily:
-        return self.stems_of[e]
-
-    def roots(self, stem: AttrSet) -> AttrSet:
-        return self.roots_of[stem]
-
-    def all_stems(self) -> SetFamily:
-        fam = SetFamily(self.universe, tuple(self.roots_of))
-        return fam.canonical()
 
     def direct_base(self) -> ImplicationSet:
         """The canonical direct base {X -> roots(X) : X a stem}."""

@@ -1,5 +1,10 @@
 """Compressed enumeration of closure systems and impure Horn model sets as
 disjoint 012n-rows, plus Horn satisfiability and near-minimum compression.
+
+The row engine itself (splitting rows by implications and complications,
+expanding bubbles) lives in ``closure`` beside the other closed-set
+engines; this module wraps its plain tuples in checked ``Row012n`` and
+``RowSystem`` values and adds the Horn-function verbs on top.
 """
 
 from __future__ import annotations
@@ -7,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import canonical, closure
+from .canonical import shock_minimize
+from .closure import (
+    Closure,
+    Row,
+    _expand_bubbles,
+    _impose,
+    _model_rows,
+    flat_rows,
+    lectic_from_rows,
+)
 from .core import (
     AttrSet,
     Implication,
@@ -121,133 +135,11 @@ class RowSystem:
         return "\n".join(r.render() for r in self.rows)
 
 
-# A row in flight: (ones, zeros, free, bubbles), the fields of a Row012n
-# without its universe. The splitters below work on these plain tuples and
-# append their output rows to a list; Row012n, with its partition check, is
-# built once per row that goes back to a caller.
-Row = tuple[int, int, int, tuple[int, ...]]
-
-
 def _size(free: int, bubbles: tuple[int, ...]) -> int:
     total = 1 << free.bit_count()
     for b in bubbles:
         total *= (1 << b.bit_count()) - 1
     return total
-
-
-def _force_ones(row: Row, m: int) -> Row | None:
-    """Restrict the row to subsets containing m; None when that is empty."""
-    ones, zeros, free, bubbles = row
-    if m & zeros:
-        return None
-    kept = []
-    for b in bubbles:
-        rest = b & ~m
-        if rest == b:
-            kept.append(b)
-        elif rest == 0:
-            return None  # bubble fully forced present, but it needs a 0
-        elif rest.bit_count() == 1:
-            zeros |= rest
-        else:
-            kept.append(rest)
-    return ones | m, zeros, free & ~m, tuple(kept)
-
-
-def _at_least_one_zero(row: Row, amask: int, out: list[Row]) -> None:
-    """Append rows covering exactly the members of row missing part of amask."""
-    ones, zeros, free, bubbles = row
-    if amask & zeros:
-        out.append(row)
-        return
-    for b in bubbles:
-        if b & ~amask == 0:
-            out.append(row)  # some bubble lies inside amask, so a 0 is certain
-            return
-    cand = amask & ~ones
-    if cand == 0:
-        return  # amask forced fully present
-    in_bubbles = cand & ~free
-    if in_bubbles == 0:
-        # all candidate positions free: one new bubble (or a lone 0)
-        if cand.bit_count() == 1:
-            out.append((ones, zeros | cand, free & ~cand, bubbles))
-        else:
-            out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
-        return
-    # a candidate position sits inside an existing bubble: branch on it
-    p = in_bubbles & -in_bubbles
-    b = next(b for b in bubbles if b & p)
-    others = tuple(x for x in bubbles if x != b)
-    # p absent: its bubble is satisfied, remaining bubble positions run free
-    out.append((ones, zeros | p, free | (b & ~p), others))
-    # p present: the bubble shrinks and the rest of amask must miss something
-    with_p = _force_ones(row, p)
-    if with_p is not None:
-        _at_least_one_zero(with_p, amask & ~p, out)
-
-
-def _impose(
-    rows: list[Row], pairs: Iterable[tuple[int, int]], complications: Iterable[int]
-) -> list[Row]:
-    """Filter the rows by each (premise, conclusion) mask pair in turn, then
-    by each complication mask; the rows stay pairwise disjoint."""
-    for amask, bmask in pairs:
-        out: list[Row] = []
-        for row in rows:
-            ones, zeros, _, bubbles = row
-            # a row left whole: the premise cannot hold (a forced 0, or a
-            # bubble inside it), or the conclusion is certain when it does
-            if amask & zeros or not bmask & ~(amask | ones):
-                out.append(row)
-                continue
-            for b in bubbles:
-                if not b & ~amask:
-                    out.append(row)
-                    break
-            else:
-                # split: the members missing part of the premise, then
-                # those holding premise and conclusion
-                _at_least_one_zero(row, amask, out)
-                forced = _force_ones(row, amask | bmask)
-                if forced is not None:
-                    out.append(forced)
-        rows = out
-    for amask in complications:
-        out = []
-        for row in rows:
-            _at_least_one_zero(row, amask, out)
-        rows = out
-    return rows
-
-
-def _model_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
-    full: Row = (0, 0, sigma.universe.full_mask, ())
-    return _impose([full], sigma.mask_pairs(), complications)
-
-
-def _expand_bubbles(row: Row, out: list[Row]) -> None:
-    ones, zeros, free, bubbles = row
-    if not bubbles:
-        out.append(row)
-        return
-    rest = bubbles[1:]
-    before = 0  # the bubble's positions below p, present in p's row
-    after = bubbles[0]
-    while after:
-        p = after & -after
-        after ^= p
-        _expand_bubbles((ones | before, zeros | p, free | after, rest), out)
-        before |= p
-
-
-def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
-    """Bubble-free rows of the closed sets of sigma that cover no
-    complication mask, as plain tuples: the rows of to_012(enumerate_horn)."""
-    out: list[Row] = []
-    for row in _model_rows(sigma, complications):
-        _expand_bubbles(row, out)
-    return out
 
 
 def _tuples(rows: RowSystem) -> list[Row]:
@@ -328,13 +220,13 @@ def enumerate_horn(h: HornSystem) -> RowSystem:
 
 def enumerate_horn_lectic(h: HornSystem) -> Iterator[AttrSet]:
     """Mod(h) in lectic order, read off its bubble-free rows."""
-    return closure.lectic_from_rows(h.universe, flat_rows(h.sigma, h.gamma.masks()))
+    return lectic_from_rows(h.universe, flat_rows(h.sigma, h.gamma.masks()))
 
 
 def horn_satisfiable(h: HornSystem) -> tuple[bool, AttrSet | None]:
     """Satisfiability in linear time: the least closed set is a model unless
     it covers a complication; it is returned as the witness."""
-    bottom = closure.Closure.from_sigma(h.sigma).of_mask(0)
+    bottom = Closure.from_sigma(h.sigma).of_mask(0)
     for aset in h.gamma:
         if aset.mask & ~bottom == 0:
             return False, None
@@ -349,9 +241,9 @@ def near_minimum_base(h: HornSystem) -> HornSystem:
     """
     u = h.universe
     if not h.gamma.sets:
-        return HornSystem(canonical.shock_minimize(h.sigma), SetFamily(u, ()))
+        return HornSystem(shock_minimize(h.sigma), SetFamily(u, ()))
     full = u.full()
     lift = tuple(Implication(aset, full) for aset in h.gamma)
     base_bottom = ImplicationSet(u, h.sigma.items + lift)
-    sigma0 = canonical.shock_minimize(base_bottom)
+    sigma0 = shock_minimize(base_bottom)
     return HornSystem(sigma0, SetFamily(u, (full,)))

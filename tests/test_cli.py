@@ -66,6 +66,21 @@ def files(tmp_path):
     return paths
 
 
+@pytest.fixture
+def padded_mf(tmp_path, monkeypatch):
+    """MF padded to 24 elements, past the stem-search limit; the 18 new
+    ones are in every member."""
+    monkeypatch.delenv("HORNKIT_MAX_EXHAUSTIVE", raising=False)
+    pad = " ".join(str(i) for i in range(7, 25))
+    members = MF_TEXT.splitlines()[1:]
+    padded = tmp_path / "mf24.fam"
+    padded.write_text(
+        f"elements: 1 2 3 4 5 6 {pad}\n" + "".join(f"{m} {pad}\n" for m in members),
+        encoding="utf-8",
+    )
+    return str(padded)
+
+
 #: the verbs that read --sigma or --family, the other flags they need, and
 #: their message when given neither
 SOURCE_VERBS = (
@@ -177,21 +192,11 @@ class TestVerbTour:
         _, table, _ = run(capsys, "stems", "--family", files["mf.fam"])
         assert [l[3:] for l in table.splitlines() if l.startswith("4: ")] == out.splitlines()
 
-    def test_family_stems_of_one_element_have_no_size_limit(self, capsys, tmp_path,
-                                                              monkeypatch):
-        # MF padded to 24 elements; the 18 new ones are in every member
-        monkeypatch.delenv("HORNKIT_MAX_EXHAUSTIVE", raising=False)
-        pad = " ".join(str(i) for i in range(7, 25))
-        members = MF_TEXT.splitlines()[1:]
-        padded = tmp_path / "mf24.fam"
-        padded.write_text(
-            f"elements: 1 2 3 4 5 6 {pad}\n" + "".join(f"{m} {pad}\n" for m in members),
-            encoding="utf-8",
-        )
-        code, out, _ = run(capsys, "stems", "--family", str(padded), "--element", "4")
+    def test_family_stems_of_one_element_have_no_size_limit(self, capsys, padded_mf):
+        code, out, _ = run(capsys, "stems", "--family", padded_mf, "--element", "4")
         assert code == 0
         assert out.splitlines() == ["1 3", "1 5", "1 6", "2 3", "2 6"]
-        code, out, err = run(capsys, "stems", "--family", str(padded))
+        code, out, err = run(capsys, "stems", "--family", padded_mf)
         assert code == 1 and out == ""
         assert err == "hornkit: stem search over 24 premise elements (bound 20)\n"
 
@@ -301,6 +306,12 @@ class TestVerbTour:
         _, out, _ = run(
             capsys, "dualize", "--family", files["mf.fam"], "--cmax-of", "4"
         )
+        assert out.splitlines() == ["1 2 4", "1 3 4 6", "3 4 5 6"]
+
+    def test_cmax_of_has_no_size_limit(self, capsys, padded_mf):
+        # cmax(F,e) is read off max(F,e), as meetirr --element reads it
+        code, out, err = run(capsys, "dualize", "--family", padded_mf, "--cmax-of", "4")
+        assert code == 0 and err == ""
         assert out.splitlines() == ["1 2 4", "1 3 4 6", "3 4 5 6"]
 
     def test_sat_lines_format(self, files, capsys, tmp_path):
