@@ -9,6 +9,12 @@ and passes the universe and the loaded source to the verb's handler.
 ``--gamma`` is read by the one ``HornSystem`` builder, and only ``equiv``
 reads a further file itself (``--sigma2``).
 
+Output has one writer. Each handler is a generator of text blocks (one
+line, or several joined by newlines) and writes nothing itself; ``main``
+prints each non-empty block once, as it comes, so an empty result prints
+nothing and a long listing streams. ``core.set_text`` writes the empty
+set as ``-``, the glyph that family files use.
+
 Exit codes: 0 success, 1 domain error (parse failure, universe mismatch,
 a stem search or quasiclosure over its size limit, ...), 2 usage error
 (also for flags that exclude each other). A reader that closes stdout
@@ -24,9 +30,10 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import canonical, closure, core, direct, dualize, primes, rows
-from .core import ImplicationSet, SetFamily, Universe
+from .core import ImplicationSet, SetFamily, Universe, set_text
 from .errors import HornkitError, UniverseMismatchError
 
 
@@ -64,206 +71,170 @@ def _element(label: str, universe: Universe) -> int:
     return pos
 
 
-def _print_set(s) -> None:
-    print(s.render() or "-")
-
-
-def _print_family(fam: SetFamily) -> None:
-    out = fam.canonical().render()
-    if out:
-        print(out)
-
-
-def _print_sigma(sigma: ImplicationSet) -> None:
-    out = sigma.render()
-    if out:
-        print(out)
-
-
-def _cmd_close(args, universe, source) -> None:
+def _cmd_close(args, universe, source) -> Iterator[str]:
     s = universe.parse_set(args.set)
     if args.quasi:
-        _print_set(closure.quasiclosure(source, s))
-        return
-    if isinstance(source, SetFamily):
+        yield set_text(closure.quasiclosure(source, s))
+    elif isinstance(source, SetFamily):
         if args.one_step or args.trace:
             raise HornkitError("--one-step/--trace need a --sigma input")
-        _print_set(closure.close_family(source, s))
-        return
-    if args.one_step:
-        _print_set(closure.step(source, s))
+        yield set_text(closure.close_family(source, s))
+    elif args.one_step:
+        yield set_text(closure.step(source, s))
     elif args.trace:
-        for r in closure.close_trace(source, s).rounds:
-            _print_set(r)
+        yield from map(set_text, closure.close_trace(source, s).rounds)
     else:
-        _print_set(closure.close(source, s))
+        yield set_text(closure.close(source, s))
 
 
-def _cmd_entails(args, universe, sigma) -> None:
+def _cmd_entails(args, universe, sigma) -> Iterator[str]:
     query = core.parse_implication(args.query, universe)
-    print("true" if closure.entails(sigma, query) else "false")
+    yield "true" if closure.entails(sigma, query) else "false"
 
 
-def _cmd_equiv(args, universe, sigma) -> None:
+def _cmd_equiv(args, universe, sigma) -> Iterator[str]:
     universe2, sigma2 = core.load_implications(_read(args.sigma2))
     if universe2 != universe:
         raise UniverseMismatchError("the two families use different universes")
-    print("true" if closure.equivalent(sigma, sigma2) else "false")
+    yield "true" if closure.equivalent(sigma, sigma2) else "false"
 
 
-def _cmd_base_gd(args, universe, source) -> None:
+def _cmd_base_gd(args, universe, source) -> Iterator[str]:
     if args.pseudoclosed or args.core:
         report = canonical.pseudoclosed_sets(source)
-        _print_family(report.essential_closures if args.core else report.pseudoclosed)
-        return
-    base = canonical.gd_base(source)
-    if args.trim:
-        base = canonical.trim_conclusions(base)
-    _print_sigma(base)
+        yield (report.essential_closures if args.core else report.pseudoclosed).render()
+    else:
+        base = canonical.gd_base(source)
+        yield (canonical.trim_conclusions(base) if args.trim else base).render()
 
 
-def _cmd_base_direct(args, universe, source) -> None:
+def _cmd_base_direct(args, universe, source) -> Iterator[str]:
     if args.classify:
         table = direct.stem_table(source)
         for stem, cls in direct.classify_stems(table, source).items():
             kind = "strong" if cls.strong else "plain"
-            mins = cls.closure_minimal_for.render() or "-"
-            print(f"{stem.render() or '-'}: {kind} closure-minimal-for: {mins}")
-        return
-    _print_sigma(direct.canonical_direct(source))
+            mins = set_text(cls.closure_minimal_for)
+            yield f"{set_text(stem)}: {kind} closure-minimal-for: {mins}"
+    else:
+        yield direct.canonical_direct(source).render()
 
 
-def _cmd_base_dbasis(args, universe, source) -> None:
+def _cmd_base_dbasis(args, universe, source) -> Iterator[str]:
     ordered = direct.d_basis(source)
     if args.close_set is not None:
         s = universe.parse_set(args.close_set)
-        _print_set(direct.ordered_close(ordered, s, verify=True))
-        return
-    if ordered.items:
-        print(ordered.render())
+        yield set_text(direct.ordered_close(ordered, s, verify=True))
+    else:
+        yield ordered.render()
 
 
-def _cmd_minimize(args, universe, sigma) -> None:
+def _cmd_minimize(args, universe, sigma) -> Iterator[str]:
     if args.check:
-        print("true" if canonical.is_minimum(sigma) else "false")
-        return
-    if args.unit_expand:
-        _print_sigma(core.unit_expand(sigma))
-        return
-    if args.aggregate:
-        _print_sigma(core.aggregate(sigma))
-        return
-    if args.redundancy_only:
-        _print_sigma(canonical.remove_redundancy(sigma))
-        return
-    base = canonical.shock_minimize(sigma)
-    if args.trim:
-        base = canonical.trim_conclusions(base)
-    _print_sigma(base)
+        yield "true" if canonical.is_minimum(sigma) else "false"
+    elif args.unit_expand:
+        yield core.unit_expand(sigma).render()
+    elif args.aggregate:
+        yield core.aggregate(sigma).render()
+    elif args.redundancy_only:
+        yield canonical.remove_redundancy(sigma).render()
+    else:
+        base = canonical.shock_minimize(sigma)
+        yield (canonical.trim_conclusions(base) if args.trim else base).render()
 
 
-def _cmd_primes(args, universe, sigma) -> None:
+def _cmd_primes(args, universe, sigma) -> Iterator[str]:
     if args.check is not None:
         query = core.parse_implication(args.check, universe)
-        print("true" if primes.is_prime_implicate(sigma, query) else "false")
-        return
-    _print_sigma(primes.unit_primes(sigma))
-
-
-def _cmd_acyclic(args, universe, sigma) -> None:
-    if args.base:
-        _print_sigma(primes.acyclic_base(sigma))
-        return
-    ok, cycle = primes.is_acyclic(sigma)
-    if ok:
-        print("true")
+        yield "true" if primes.is_prime_implicate(sigma, query) else "false"
     else:
-        walk = " -> ".join(universe.labels[p] for p in cycle)
-        print(f"false  cycle: {walk}")
+        yield primes.unit_primes(sigma).render()
 
 
-def _cmd_meetirr(args, universe, source) -> None:
+def _cmd_acyclic(args, universe, sigma) -> Iterator[str]:
+    if args.base:
+        yield primes.acyclic_base(sigma).render()
+    else:
+        ok, cycle = primes.is_acyclic(sigma)
+        if ok:
+            yield "true"
+        else:
+            walk = " -> ".join(universe.labels[p] for p in cycle)
+            yield f"false  cycle: {walk}"
+
+
+def _cmd_meetirr(args, universe, source) -> Iterator[str]:
     if args.element is not None:
-        _print_family(dualize.max_noncovers(source, _element(args.element, universe)))
-        return
-    _print_family(dualize.meet_irreducibles(source))
+        yield dualize.max_noncovers(source, _element(args.element, universe)).render()
+    else:
+        yield dualize.meet_irreducibles(source).render()
 
 
-def _cmd_stems(args, universe, source) -> None:
+def _cmd_stems(args, universe, source) -> Iterator[str]:
     if args.element is not None and isinstance(source, SetFamily):
         # one element of a family: mtr(cmax(F,e)), with no stem-search limit
-        _print_family(dualize.stems_from_meetirr(source, _element(args.element, universe)))
-        return
-    table = direct.stem_table(source)
-    if args.element is not None:
-        _print_family(table.stems_of[_element(args.element, universe)])
-        return
-    for pos in range(universe.size):
-        for stem in table.stems_of[pos].canonical():
-            print(f"{universe.labels[pos]}: {stem.render() or '-'}")
+        yield dualize.stems_from_meetirr(source, _element(args.element, universe)).render()
+    elif args.element is not None:
+        yield direct.stem_table(source).stems_of[_element(args.element, universe)].render()
+    else:
+        for pos, stems in direct.stem_table(source).stems_of.items():
+            for stem in stems:
+                yield f"{universe.labels[pos]}: {set_text(stem)}"
 
 
-def _cmd_dualize(args, universe, source) -> None:
+def _cmd_dualize(args, universe, source) -> Iterator[str]:
     if args.cmax_of is not None:
         # cmax(F,e): the complements of max(F,e), with no stem-search limit
         maxes = dualize.max_noncovers(source, _element(args.cmax_of, universe))
-        _print_family(SetFamily(universe, tuple(s.complement() for s in maxes)))
-        return
-    if not isinstance(source, SetFamily):
+        yield SetFamily(universe, tuple(s.complement() for s in maxes)).canonical().render()
+    elif isinstance(source, SetFamily):
+        yield dualize.minimal_transversals(source).render()
+    else:
         raise HornkitError("dualize needs a --family input")
-    _print_family(dualize.minimal_transversals(source))
 
 
-def _cmd_keys(args, universe, source) -> None:
-    _print_family(dualize.minimal_keys(source))
+def _cmd_keys(args, universe, source) -> Iterator[str]:
+    yield dualize.minimal_keys(source).render()
 
 
-def _cmd_enumerate(args, universe, source) -> None:
+def _cmd_enumerate(args, universe, source) -> Iterator[str]:
     if args.lectic:
         if args.gamma:
             listing = rows.enumerate_horn_lectic(_horn_system(args, universe, source))
         else:
             listing = closure.enumerate_closed_lectic(source)
-        for s in listing:
-            _print_set(s)
+        yield from map(set_text, listing)
         return
     system = rows.enumerate_horn(_horn_system(args, universe, source))
     if args.materialize:
-        _print_family(SetFamily(universe, tuple(system.members())))
-        return
-    if args.expand:
-        system = rows.to_012(system)
-    out = system.render()
-    if out:
-        print(out)
-
-
-def _cmd_count(args, universe, source) -> None:
-    print(rows.count(_horn_system(args, universe, source)))
-
-
-def _cmd_sat(args, universe, source) -> None:
-    ok, witness = rows.horn_satisfiable(_horn_system(args, universe, source))
-    if ok:
-        print("satisfiable")
-        if args.format == "text":
-            print(f"witness: {witness.render() or '-'}")
-        else:
-            _print_set(witness)
+        yield SetFamily(universe, tuple(system.members())).canonical().render()
     else:
-        print("unsatisfiable")
+        yield (rows.to_012(system) if args.expand else system).render()
 
 
-def _cmd_compress(args, universe, source) -> None:
+def _cmd_count(args, universe, source) -> Iterator[str]:
+    yield str(rows.count(_horn_system(args, universe, source)))
+
+
+def _cmd_sat(args, universe, source) -> Iterator[str]:
+    ok, witness = rows.horn_satisfiable(_horn_system(args, universe, source))
+    if not ok:
+        yield "unsatisfiable"
+    elif args.format == "text":
+        yield f"satisfiable\nwitness: {set_text(witness)}"
+    else:
+        yield f"satisfiable\n{set_text(witness)}"
+
+
+def _cmd_compress(args, universe, source) -> Iterator[str]:
     out = rows.near_minimum_base(_horn_system(args, universe, source))
-    _print_sigma(out.sigma)
-    for aset in out.gamma.canonical():
-        print(f"! {aset.render() or '-'}")
+    yield out.sigma.render()
+    for aset in out.gamma:
+        yield f"! {set_text(aset)}"
 
 
-def _cmd_measures(args, universe, sigma) -> None:
+def _cmd_measures(args, universe, sigma) -> Iterator[str]:
     m = core.measures(sigma)
-    print(f"ca={m.ca} s={m.s} lhs={m.lhs} rhs={m.rhs}")
+    yield f"ca={m.ca} s={m.s} lhs={m.lhs} rhs={m.rhs}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         universe, source = _load(args)
-        args.fn(args, universe, source)
+        for block in args.fn(args, universe, source):
+            if block:
+                print(block)
         sys.stdout.flush()
     except HornkitError as exc:
         print(f"hornkit: {exc}", file=sys.stderr)
@@ -370,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

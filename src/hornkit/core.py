@@ -132,6 +132,12 @@ class Universe:
         return self.set_of(tokens)
 
 
+def set_text(s: AttrSet) -> str:
+    """A set as one line of text, as ``Universe.parse_set`` reads it back:
+    "-" for the empty set."""
+    return s.render() or "-"
+
+
 @dataclass(frozen=True, slots=True)
 class AttrSet:
     """Subset of a universe, equal iff same universe and same members."""
@@ -313,7 +319,7 @@ class SetFamily:
         return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
 
     def render(self) -> str:
-        return "\n".join(s.render() or "-" for s in self.sets)
+        return "\n".join(map(set_text, self.sets))
 
 
 @dataclass(frozen=True, slots=True)

@@ -108,7 +108,7 @@ class OrderedBase:
         return ImplicationSet(self.universe, self.items)
 
     def render(self) -> str:
-        return "\n".join(imp.render() for imp in self.items)
+        return self.as_sigma().render()
 
 
 def d_basis(source: ClosureSource) -> OrderedBase:

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import os
 import re
 import subprocess
@@ -497,6 +498,9 @@ class TestErrors:
         parser = build_parser()
         verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(verbs.choices) == {v[0] for v in SOURCE_VERBS + SIGMA_VERBS}
+        # handlers yield their text and main writes it: none prints itself
+        for name, sub in verbs.choices.items():
+            assert inspect.isgeneratorfunction(sub.get_default("fn")), name
 
     @pytest.mark.parametrize("flag", ["--lectic", "--materialize"])
     def test_reader_closing_the_pipe_early(self, tmp_path, flag):
@@ -516,6 +520,19 @@ class TestErrors:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_leaks_no_descriptor(self, tmp_path, monkeypatch):
+        wide = tmp_path / "wide.imp"
+        wide.write_text("elements: " + " ".join(map(str, range(1, 17))) + "\n",
+                        encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            before = len(os.listdir("/proc/self/fd"))
+            assert main(["enumerate", "--sigma", str(wide), "--lectic"]) == 1
+            assert len(os.listdir("/proc/self/fd")) == before
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
