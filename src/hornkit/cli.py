@@ -15,6 +15,10 @@ prints each non-empty block once, as it comes, so an empty result prints
 nothing and a long listing streams. ``core.set_text`` writes the empty
 set as ``-``, the glyph that family files use.
 
+``main`` may be called any number of times in one process: the argparse
+tree is built once, by the first call, and keeps nothing from one call to
+the next.
+
 Exit codes: 0 success, 1 domain error (parse failure, universe mismatch,
 a stem search or quasiclosure over its size limit, ...), 2 usage error
 (also for flags that exclude each other). A reader that closes stdout
@@ -27,6 +31,7 @@ silent.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -237,7 +242,17 @@ def _cmd_measures(args, universe, sigma) -> Iterator[str]:
     yield f"ca={m.ca} s={m.s} lhs={m.lhs} rhs={m.rhs}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    It holds no per-call state: ``parse_args`` makes a fresh ``Namespace``
+    each time, and the defaults are the handler and ``None``, ``False`` or
+    a string. Each verb's ``fn`` default binds its ``_cmd_*`` handler when
+    the parser is built, so replacing ``cli._cmd_*`` afterwards has no
+    effect: patch the library function that the handler calls instead.
+    Callers must not change the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="hornkit",
         description="closure systems, implication bases, and Horn toolbox",
@@ -329,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         universe, source = _load(args)
         for block in args.fn(args, universe, source):

@@ -112,6 +112,16 @@ EQ25_MF = fam(
     "3 5 6",
 )
 
+
+def padded_mf_text() -> str:
+    """EQ25_MF as a family file padded to 24 elements, past the stem-search
+    limit; the 18 new ones are in every member."""
+    pad = " ".join(str(i) for i in range(7, 25))
+    return f"elements: 1 2 3 4 5 6 {pad}\n" + "".join(
+        f"{s.render()} {pad}\n" for s in EQ25_MF.sets
+    )
+
+
 #: canonical direct base of that system
 EQ27_CD = sig(
     U6,

@@ -12,7 +12,9 @@ import hornkit.closure
 from hornkit import SetFamily
 from hornkit.cli import build_parser, main
 
-from conftest import EQ38, U6, brute_closed_masks, brute_meet_irreducibles
+from conftest import (
+    EQ38, U6, brute_closed_masks, brute_meet_irreducibles, padded_mf_text,
+)
 
 EQ15_TEXT = """elements: 1 2 3 4 5 6 7 8 9
 1 -> 6
@@ -72,13 +74,8 @@ def padded_mf(tmp_path, monkeypatch):
     """MF padded to 24 elements, past the stem-search limit; the 18 new
     ones are in every member."""
     monkeypatch.delenv("HORNKIT_MAX_EXHAUSTIVE", raising=False)
-    pad = " ".join(str(i) for i in range(7, 25))
-    members = MF_TEXT.splitlines()[1:]
     padded = tmp_path / "mf24.fam"
-    padded.write_text(
-        f"elements: 1 2 3 4 5 6 {pad}\n" + "".join(f"{m} {pad}\n" for m in members),
-        encoding="utf-8",
-    )
+    padded.write_text(padded_mf_text(), encoding="utf-8")
     return str(padded)
 
 
@@ -115,6 +112,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_alone(*argv):
+    """Exit code, stdout and stderr of ``hornkit argv`` in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hornkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestGoldenInvocations:
@@ -329,6 +334,39 @@ class TestVerbTour:
         _, first, _ = run(capsys, "base-direct", "--sigma", files["eq38.imp"])
         _, second, _ = run(capsys, "base-direct", "--sigma", files["eq38.imp"])
         assert first == second
+
+
+class TestRepeatedCalls:
+    """``main`` runs on one parser for the whole process, so each call must
+    give what the same argv gives alone."""
+
+    def test_flags_of_a_call_do_not_carry_over(self, files, capsys):
+        eq38, mf = files["eq38.imp"], files["mf.fam"]
+        for first, then in (
+            (["sat", "--sigma", eq38, "--format", "lines"], ["sat", "--sigma", eq38]),
+            (["close", "--sigma", eq38, "--set", "3", "--quasi"],
+             ["close", "--sigma", eq38, "--set", "3"]),
+            (["enumerate", "--sigma", eq38, "--gamma", mf], ["enumerate", "--sigma", eq38]),
+        ):
+            before = run(capsys, *first)
+            assert run(capsys, *then) == run_alone(*then) != before, then
+        assert "witness: " in run(capsys, "sat", "--sigma", eq38)[1]
+
+    def test_usage_error_and_help_leave_no_trace(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["close", "--sigma", files["eq38.imp"]])  # no --set
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        argv = ("count", "--sigma", files["eq38.imp"])
+        assert run(capsys, *argv) == run_alone(*argv) == (0, "22\n", "")
+
+    def test_one_parser_per_process(self, files, capsys):
+        assert build_parser() is build_parser()
+        run(capsys, "count", "--sigma", files["eq38.imp"])
+        assert build_parser.cache_info().misses == 1
 
 
 class TestLecticFlags:

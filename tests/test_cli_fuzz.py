@@ -138,7 +138,7 @@ def _run(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_every_verb_exits_cleanly(tmp_path):
@@ -160,7 +160,7 @@ def test_every_verb_exits_cleanly(tmp_path):
             argv = _argv(rng, verb, files, labels)
             if rng.random() < 0.05:
                 argv += ["--format", "lines"]  # only sat reads it
-            code, err = _run(argv)
+            code, _, err = _run(argv)
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err, argv
             if code != 2 and twice & set(argv):
