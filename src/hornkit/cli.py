@@ -12,8 +12,10 @@ reads a further file itself (``--sigma2``).
 Output has one writer. Each handler is a generator of text blocks (one
 line, or several joined by newlines) and writes nothing itself; ``main``
 prints each non-empty block once, as it comes, so an empty result prints
-nothing and a long listing streams. ``core.set_text`` writes the empty
-set as ``-``, the glyph that family files use.
+nothing and a long listing streams. A lectic listing stays a stream of
+masks until it is printed, ``_LISTING_BLOCK`` lines per block. Sets are
+written by ``Universe.text`` and ``Universe.lines``, which writes the
+empty set as ``-``, the glyph that family files use.
 
 ``main`` may be called any number of times in one process: the argparse
 tree is built once, by the first call, and keeps nothing from one call to
@@ -34,12 +36,18 @@ import argparse
 import functools
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
 from . import canonical, closure, core, direct, dualize, primes, rows
 from .core import ImplicationSet, SetFamily, Universe, set_text
 from .errors import HornkitError, UniverseMismatchError
+
+
+#: lines per block of a lectic listing: one ``print`` each, so the listing
+#: still streams
+_LISTING_BLOCK = 1024
 
 
 def _read(path: str) -> str:
@@ -204,10 +212,12 @@ def _cmd_keys(args, universe, source) -> Iterator[str]:
 def _cmd_enumerate(args, universe, source) -> Iterator[str]:
     if args.lectic:
         if args.gamma:
-            listing = rows.enumerate_horn_lectic(_horn_system(args, universe, source))
+            h = _horn_system(args, universe, source)
+            masks = closure.lectic_masks(h.sigma, h.gamma.masks())
         else:
-            listing = closure.enumerate_closed_lectic(source)
-        yield from map(set_text, listing)
+            masks = closure.lectic_masks(source)
+        while block := list(islice(masks, _LISTING_BLOCK)):
+            yield universe.lines(block)
         return
     system = rows.enumerate_horn(_horn_system(args, universe, source))
     if args.materialize:

@@ -404,20 +404,30 @@ def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[
     return out
 
 
-def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
-    """Yield every closed set exactly once, in lectic order.
+def lectic_masks(source: ClosureSource, complications: Iterable[int] = ()) -> Iterator[int]:
+    """The masks of the closed sets that cover no complication mask, each
+    once, in lectic order.
 
     Lectic order is taken on positions with the smallest position most
     significant (the usual NextClosure convention). An implication family
     is read off its 012 rows; a family or a bare operator, which has no
-    rows, goes through NextClosure.
+    rows, goes through NextClosure and takes no complications.
     """
+    universe = source_universe(source)
     if isinstance(source, ImplicationSet):
-        return lectic_from_rows(source.universe, flat_rows(source))
+        return _lectic_from_rows(universe, flat_rows(source, complications))
+    if complications:
+        raise TypeError("complications need an implication family")
     return _next_closure(Closure.wrap(source))
 
 
-def lectic_from_rows(universe: Universe, flat: Iterable[Row]) -> Iterator[AttrSet]:
+def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
+    """Yield every closed set exactly once, in lectic order (see
+    ``lectic_masks``)."""
+    return map(partial(AttrSet, source_universe(source)), lectic_masks(source))
+
+
+def _lectic_from_rows(universe: Universe, flat: Iterable[Row]) -> Iterator[int]:
     """The members of disjoint bubble-free rows, in lectic order.
 
     A member m is sorted as one plain integer: m with its bits reversed in
@@ -437,19 +447,17 @@ def lectic_from_rows(universe: Universe, flat: Iterable[Row]) -> Iterator[AttrSe
             row += [key | both for key in row]
         keys += row
     keys.sort()
-    full = universe.full_mask
-    for key in keys:
-        yield AttrSet(universe, key & full)
+    return map(universe.full_mask.__and__, keys)
 
 
-def _next_closure(c: Closure) -> Iterator[AttrSet]:
+def _next_closure(c: Closure) -> Iterator[int]:
     """NextClosure (Ganter 1984). The loop calls the kernel directly: each
     set is closed once, so a memo would never hit."""
     kernel = c._fn
     n = c.universe.size
     cur = kernel(0)
     while True:
-        yield AttrSet(c.universe, cur)
+        yield cur
         # the next closed set: drop trailing elements until adding one
         # closes to a set that adds nothing before it
         for i in range(n - 1, -1, -1):

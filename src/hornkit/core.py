@@ -37,6 +37,10 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+#: the set positions of each byte value, ascending
+_BYTE_BITS = tuple(tuple(bits(b)) for b in range(256))
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask
@@ -75,7 +79,7 @@ def extreme_masks(masks: Iterable[int], maximal: bool = False) -> list[int]:
 class Universe:
     """Ordered set of attribute labels; positions are stable 0..size-1."""
 
-    __slots__ = ("labels", "index", "size", "full_mask")
+    __slots__ = ("labels", "index", "size", "full_mask", "_text")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -94,6 +98,14 @@ class Universe:
         self.index = index
         self.size = len(labels)
         self.full_mask = (1 << self.size) - 1
+        #: per-chunk text tables of ``text``, made on its first call; not
+        #: part of the value, so ``__reduce__`` leaves them out of pickles
+        #: and copies, and each entry is written with one fixed text, so
+        #: threads may share a universe
+        self._text: list[dict[int, str]] | None = None
+
+    def __reduce__(self):
+        return (type(self), (self.labels,))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Universe) and self.labels == other.labels
@@ -103,6 +115,41 @@ class Universe:
 
     def __repr__(self) -> str:
         return f"Universe({' '.join(self.labels)})"
+
+    # -- rendering ----------------------------------------------------------
+
+    def text(self, mask: int) -> str:
+        """The members of ``mask`` as their labels in position order, one
+        space apart; "" for the empty set.
+
+        Each chunk of 8 positions has a table from byte values to text. An
+        entry is filled the first time its byte is rendered, so a universe
+        that prints a few sets pays for a few entries only.
+        """
+        tables = self._text
+        if tables is None:
+            tables = self._text = [{} for _ in range((self.size + 7) // 8)]
+        parts = []
+        c = 0
+        while mask:
+            byte = mask & 255
+            if byte:
+                table = tables[c]
+                part = table.get(byte)
+                if part is None:
+                    base = 8 * c
+                    labels = self.labels
+                    part = table[byte] = " ".join([labels[base + p] for p in _BYTE_BITS[byte]])
+                parts.append(part)
+            mask >>= 8
+            c += 1
+        return " ".join(parts)
+
+    def lines(self, masks: Iterable[int]) -> str:
+        """The sets of ``masks``, one line each, as ``parse_set`` reads
+        them back: "-" for the empty set."""
+        text = self.text
+        return "\n".join([text(m) or "-" for m in masks])
 
     # -- set construction -------------------------------------------------
 
@@ -135,7 +182,7 @@ class Universe:
 def set_text(s: AttrSet) -> str:
     """A set as one line of text, as ``Universe.parse_set`` reads it back:
     "-" for the empty set."""
-    return s.render() or "-"
+    return s.universe.lines((s.mask,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +234,7 @@ class AttrSet:
         return (self.mask.bit_count(), self.positions)
 
     def render(self) -> str:
-        return " ".join(self.universe.labels[p] for p in bits(self.mask))
+        return self.universe.text(self.mask)
 
     def __repr__(self) -> str:
         return f"{{{self.render()}}}"
@@ -319,7 +366,7 @@ class SetFamily:
         return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
 
     def render(self) -> str:
-        return "\n".join(map(set_text, self.sets))
+        return self.universe.lines(self.masks())
 
 
 @dataclass(frozen=True, slots=True)

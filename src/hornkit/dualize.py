@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .closure import ClosureSource, enumerate_closed_lectic, flat_rows, source_universe
+from .closure import ClosureSource, flat_rows, lectic_masks, source_universe
 from .core import (
     AttrSet,
     Implication,
@@ -83,7 +83,7 @@ def _row_tops(source: ClosureSource) -> list[tuple[int, int]]:
         return [(ones, ones | free) for ones, _, free, _ in flat_rows(source)]
     if isinstance(source, SetFamily):
         return [(m, m) for m in source.masks()]
-    return [(s.mask, s.mask) for s in enumerate_closed_lectic(source)]
+    return [(m, m) for m in lectic_masks(source)]
 
 
 def _max_avoiding(tops: list[tuple[int, int]], e: int) -> list[int]:

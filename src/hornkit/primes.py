@@ -230,7 +230,15 @@ class ImplicationGraph:
 def is_acyclic(sigma: ImplicationSet) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the operator is acyclic, i.e. the implication graph of its
     prime implicates has no directed cycle; returns a witness cycle when not.
+
+    An acyclic graph of sigma itself settles it without listing primes:
+    every element of a prime stem of e reaches e in that graph, so the
+    prime graph lies inside its transitive closure. A cyclic presentation
+    can still denote an acyclic operator, so a cycle there is checked
+    against the primes.
     """
+    if ImplicationGraph.from_sigma(sigma).find_cycle() is None:
+        return True, None
     primes = unit_primes(sigma)
     cycle = ImplicationGraph.from_sigma(primes).find_cycle()
     return cycle is None, cycle

@@ -10,6 +10,7 @@ engines; this module wraps its plain tuples in checked ``Row012n`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .canonical import shock_minimize
@@ -19,8 +20,7 @@ from .closure import (
     _expand_bubbles,
     _impose,
     _model_rows,
-    flat_rows,
-    lectic_from_rows,
+    lectic_masks,
 )
 from .core import (
     AttrSet,
@@ -28,6 +28,7 @@ from .core import (
     ImplicationSet,
     SetFamily,
     Universe,
+    bits,
     submasks,
 )
 from .errors import InvariantError, UniverseMismatchError
@@ -88,20 +89,15 @@ class Row012n:
         return True
 
     def render(self) -> str:
-        names: dict[int, str] = {}
-        for b in self.bubbles:
-            names[b] = chr(ord("a") + len(names))
-        symbols = []
-        for p in range(self.universe.size):
-            bit = 1 << p
-            if bit & self.ones:
-                symbols.append("1")
-            elif bit & self.zeros:
-                symbols.append("0")
-            elif bit & self.free:
-                symbols.append("2")
-            else:
-                symbols.append(next(names[b] for b in self.bubbles if b & bit))
+        symbols = ["2"] * self.universe.size
+        for p in bits(self.ones):
+            symbols[p] = "1"
+        for p in bits(self.zeros):
+            symbols[p] = "0"
+        for i, b in enumerate(self.bubbles):
+            letter = chr(ord("a") + i)
+            for p in bits(b):
+                symbols[p] = letter
         return " ".join(symbols)
 
 
@@ -220,7 +216,7 @@ def enumerate_horn(h: HornSystem) -> RowSystem:
 
 def enumerate_horn_lectic(h: HornSystem) -> Iterator[AttrSet]:
     """Mod(h) in lectic order, read off its bubble-free rows."""
-    return lectic_from_rows(h.universe, flat_rows(h.sigma, h.gamma.masks()))
+    return map(partial(AttrSet, h.universe), lectic_masks(h.sigma, h.gamma.masks()))
 
 
 def horn_satisfiable(h: HornSystem) -> tuple[bool, AttrSet | None]:

@@ -293,6 +293,26 @@ def brute_meet_irreducibles(n: int, closed: list[int]) -> set[int]:
     return out
 
 
+def oracle_row_text(row) -> str:
+    """A Row012n rendered position by position: 1 forced present, 0 forced
+    absent, 2 free, and the letter of the bubble holding the position."""
+    names: dict[int, str] = {}
+    for b in row.bubbles:
+        names[b] = chr(ord("a") + len(names))
+    symbols = []
+    for p in range(row.universe.size):
+        bit = 1 << p
+        if bit & row.ones:
+            symbols.append("1")
+        elif bit & row.zeros:
+            symbols.append("0")
+        elif bit & row.free:
+            symbols.append("2")
+        else:
+            symbols.append(next(names[b] for b in row.bubbles if b & bit))
+    return " ".join(symbols)
+
+
 def exact_min_base_size(
     n: int, mod: set[int], allow_complications: bool = True
 ) -> int:

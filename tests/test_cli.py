@@ -9,11 +9,18 @@ from pathlib import Path
 import pytest
 
 import hornkit.closure
-from hornkit import SetFamily
+from hornkit import (
+    HornSystem,
+    SetFamily,
+    enumerate_closed_lectic,
+    enumerate_horn_lectic,
+    load_family,
+    load_implications,
+)
 from hornkit.cli import build_parser, main
 
 from conftest import (
-    EQ38, U6, brute_closed_masks, brute_meet_irreducibles, padded_mf_text,
+    EQ38, U6, brute_closed_masks, brute_meet_irreducibles, padded_mf_text, rng_for,
 )
 
 EQ15_TEXT = """elements: 1 2 3 4 5 6 7 8 9
@@ -413,13 +420,62 @@ class TestLecticFlags:
 
     def test_plain_lectic_goes_through_the_library_entry(self, files, capsys, monkeypatch):
         calls = []
-        orig = hornkit.closure.enumerate_closed_lectic
-        monkeypatch.setattr(hornkit.closure, "enumerate_closed_lectic",
-                            lambda source: calls.append(source) or orig(source))
+        orig = hornkit.closure.lectic_masks
+        monkeypatch.setattr(hornkit.closure, "lectic_masks",
+                            lambda source, *rest: calls.append(source) or orig(source, *rest))
         for src in (["--sigma", files["eq38.imp"]], ["--family", files["mf.fam"]]):
             code, out, _ = run(capsys, "enumerate", *src, "--lectic")
             assert code == 0 and len(out.splitlines()) == 22
         assert len(calls) == 2
+
+
+class TestLecticBlocks:
+    """The lectic listing is printed in blocks of many lines; joined, the
+    blocks must give each set's own line, in order."""
+
+    def per_set(self, listing) -> str:
+        return "".join(
+            (" ".join(s.universe.labels[p] for p in s) or "-") + "\n" for s in listing
+        )
+
+    def test_sixteen_free_elements(self, capsys, tmp_path):
+        wide = tmp_path / "wide.imp"
+        wide.write_text("elements: " + " ".join(map(str, range(1, 17))) + "\n",
+                        encoding="utf-8")
+        _, sigma = load_implications(wide.read_text(encoding="utf-8"))
+        code, out, err = run(capsys, "enumerate", "--sigma", str(wide), "--lectic")
+        assert code == 0 and err == ""
+        assert out == self.per_set(enumerate_closed_lectic(sigma))
+        lines = out.splitlines()
+        assert len(lines) == 65536
+        assert (lines[0], lines[1023], lines[1024]) == ("-", "7 8 9 10 11 12 13 14 15 16", "6")
+        assert lines[-1] == " ".join(map(str, range(1, 17)))
+
+    def test_seeded_theory_with_and_without_gamma(self, capsys, tmp_path):
+        # 80 rules with three-element premises over 19 elements: about 24,000
+        # closed sets
+        rng = rng_for(41900)
+        n = 19
+        labels = [f"e{i}" for i in range(n)]
+        rules = []
+        for _ in range(80):
+            prem = rng.sample(range(n), 3)
+            conc = rng.choice([e for e in range(n) if e not in prem])
+            rules.append(" ".join(labels[p] for p in prem) + f" -> {labels[conc]}")
+        header = "elements: " + " ".join(labels) + "\n"
+        theory = tmp_path / "t19.imp"
+        theory.write_text(header + "\n".join(rules) + "\n", encoding="utf-8")
+        gamma = tmp_path / "t19.fam"
+        gamma.write_text(header + "e0 e1\ne2 e3 e4\n", encoding="utf-8")
+        _, sigma = load_implications(theory.read_text(encoding="utf-8"))
+        _, gamma_sets = load_family(gamma.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, "enumerate", "--sigma", str(theory), "--lectic")
+        assert code == 0 and out == self.per_set(enumerate_closed_lectic(sigma))
+        assert len(out.splitlines()) > 20 * 1024
+        code, out, _ = run(capsys, "enumerate", "--sigma", str(theory), "--gamma", str(gamma),
+                           "--lectic")
+        want = self.per_set(enumerate_horn_lectic(HornSystem(sigma, gamma_sets)))
+        assert code == 0 and out == want and len(out.splitlines()) > 10 * 1024
 
 
 class TestErrors:

@@ -30,6 +30,7 @@ from hornkit import (
     stem_table,
     step,
 )
+from hornkit.closure import lectic_masks
 
 from conftest import (
     EQ15,
@@ -356,6 +357,15 @@ class TestLecticEnumeration:
             want = sorted(closed, key=lambda m: self.lectic_key(m, n))
             got = [x.mask for x in enumerate_closed_lectic(s)]
             assert got == want
+
+    def test_mask_listing_takes_complications_on_implication_input_only(self):
+        assert list(lectic_masks(EQ25_MF)) == [s.mask for s in enumerate_closed_lectic(EQ38)]
+        gamma = [aset(U6, "1 2").mask, aset(U6, "3 6").mask]
+        want = [m for m in lectic_masks(EQ38) if all(g & ~m for g in gamma)]
+        assert list(lectic_masks(EQ38, gamma)) == want and len(want) == 14
+        for source in (EQ25_MF, Closure.from_sigma(EQ38)):
+            with pytest.raises(TypeError, match="complications"):
+                lectic_masks(source, gamma)
 
     def edge_sigma(self, rng, u: Universe, case: int) -> ImplicationSet:
         """Random rules, with the corners the rows listing must survive:

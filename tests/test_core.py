@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from hornkit import (
@@ -7,6 +10,7 @@ from hornkit import (
     MeasureReport,
     ParseError,
     SetFamily,
+    Universe,
     UniverseMismatchError,
     aggregate,
     load_family,
@@ -19,6 +23,7 @@ from hornkit import (
     unit_expand,
 )
 from hornkit.closure import Closure
+from hornkit.core import bits, set_text
 
 from conftest import EQ27_CD, EQ38, aset, imp, pairs, rng_for, rand_sigma, sig, uni
 
@@ -110,6 +115,52 @@ class TestParsing:
         assert rendered == text
         u2, f = load_family("elements: a b\n-\na b\n")
         assert ("elements: " + " ".join(u2.labels) + "\n" + f.render() + "\n") == "elements: a b\n-\na b\n"
+
+
+class TestMaskText:
+    def labels(self, n):
+        # labels of several lengths
+        return tuple("x" * (i % 4) + str(i) for i in range(n))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 200])
+    def test_matches_the_label_join(self, n):
+        labels = self.labels(n)
+        u = Universe(labels)
+        rng = rng_for(1700 + n)
+        full = u.full_mask
+        masks = [0, full, 1, 1 << n - 1]
+        for _ in range(300):
+            masks.append(rng.getrandbits(n) & rng.getrandbits(n) | rng.getrandbits(n) >> 2)
+        for _ in range(2):  # the second pass reads the filled tables
+            for m in masks:
+                want = " ".join(labels[p] for p in bits(m))
+                assert u.text(m) == want
+                assert u.from_mask(m).render() == want
+                assert set_text(u.from_mask(m)) == (want or "-")
+        assert u.lines(masks) == "\n".join(" ".join(labels[p] for p in bits(m)) or "-"
+                                           for m in masks)
+        family = SetFamily(u, tuple(u.from_mask(m) for m in masks))
+        assert family.render() == u.lines(masks)
+        assert parse_family(family.render(), u) == family
+
+    def test_empty_listing_and_empty_set(self):
+        u = uni(3)
+        assert u.text(0) == "" and u.lines([0]) == "-" and u.lines([]) == ""
+        assert SetFamily(u, ()).render() == ""
+
+    def test_tables_invisible_in_value(self):
+        u = Universe(self.labels(20))
+        before = (hash(u), repr(u), pickle.dumps(u))
+        twin = pickle.loads(before[2])
+        u.text(u.full_mask)
+        u.lines(range(300))
+        assert u._text is not None and twin._text is None
+        assert u == twin and hash(u) == before[0] and repr(u) == before[1]
+        assert pickle.dumps(u) == before[2]
+        for back in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+            assert back == u and back._text is None
+            assert back.index == u.index and back.full_mask == u.full_mask
+            assert back.lines(range(300)) == u.lines(range(300))
 
 
 class TestSetAlgebra:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hornkit import (
@@ -19,6 +21,7 @@ from hornkit import (
     unit_expand,
     unit_primes,
 )
+from hornkit.core import bits
 
 from conftest import (
     ACYC7,
@@ -31,6 +34,7 @@ from conftest import (
     brute_unit_primes,
     imp,
     pairs,
+    rand_mask,
     rand_sigma,
     rng_for,
     sig,
@@ -166,6 +170,52 @@ class TestAcyclicity:
         assert cycle == tuple(range(n)) + (0,)
         chain = ImplicationGraph(uni(n), succ[:-1] + (0,))
         assert chain.find_cycle() is None
+
+    def test_long_chain_needs_no_primes(self):
+        # i -> i+1 has about 4.5 million unit primes; its own graph has no
+        # cycle, which settles the answer
+        n = 3000
+        u = uni(n)
+        chain = ImplicationSet(u, tuple(
+            Implication(u.from_mask(1 << a), u.from_mask(1 << a + 1)) for a in range(n - 1)
+        ))
+        t0 = time.perf_counter()
+        assert is_acyclic(chain) == (True, None)
+        assert time.perf_counter() - t0 < 2
+
+    def ranked_sigma(self, rng, u):
+        """Random rules whose premise elements all rank below their
+        conclusion elements; now and then a rule runs against the ranking."""
+        n = u.size
+        order = rng.sample(range(n), n)
+        items = []
+        for _ in range(rng.randint(1, 2 * n)):
+            low = sum(1 << p for p in order[:rng.randint(1, n - 1)])
+            prem = rand_mask(rng, n) & low
+            conc = rand_mask(rng, n) & ~low & u.full_mask
+            if rng.random() < 0.2:
+                prem, conc = conc, prem
+            items.append(Implication(u.from_mask(prem), u.from_mask(conc)))
+        return ImplicationSet(u, tuple(items))
+
+    def test_input_graph_shortcut_matches_the_prime_graph(self):
+        shortcut = 0
+        for case in range(240):
+            rng = rng_for(23000 + case)
+            n = rng.randint(2, 8)
+            u = uni(n)
+            s = self.ranked_sigma(rng, u) if case % 3 else rand_sigma(rng, u)
+            succ = [0] * n
+            for prem, root in brute_unit_primes(n, brute_closed_masks(n, s)):
+                for a in bits(prem):
+                    succ[a] |= 1 << root
+            want = ImplicationGraph(u, tuple(succ)).find_cycle() is None
+            ok, cycle = is_acyclic(s)
+            assert ok == want and (cycle is None) == ok
+            if ImplicationGraph.from_sigma(s).find_cycle() is None:
+                shortcut += 1
+                assert ok
+        assert shortcut >= 100
 
     def test_witness_is_a_real_walk(self):
         for case in range(20):

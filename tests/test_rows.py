@@ -28,6 +28,7 @@ from conftest import (
     exact_min_base_size,
     fam,
     imp,
+    oracle_row_text,
     rand_family,
     rand_sigma,
     rng_for,
@@ -98,6 +99,21 @@ class TestRow012n:
         assert r.render() == "a 2 0 2 a 0"
         r2 = row(U6, ones="1", zeros="6", bubbles=("2 3", "4 5"))
         assert r2.render() == "1 a a b b 0"
+
+
+    def test_render_matches_the_position_oracle(self):
+        # random partitions into ones, zeros, free and 0-5 bubbles
+        for case in range(120):
+            rng = rng_for(9800 + case)
+            k = case % 6
+            n = rng.randint(max(1, 2 * k), 2 * k + 12)
+            u = uni(n)
+            parts = [rng.randrange(3 + k) for _ in range(n)]
+            for i, p in enumerate(rng.sample(range(n), 2 * k)):
+                parts[p] = 3 + i // 2
+            masks = [sum(1 << p for p in range(n) if parts[p] == i) for i in range(3 + k)]
+            r = Row012n(u, masks[0], masks[1], masks[2], tuple(masks[3:]))
+            assert r.render() == oracle_row_text(r)
 
 
 class TestImpose:
