@@ -203,6 +203,12 @@ def oracle_close(closed: list[int], full: int, m: int) -> int:
     return acc
 
 
+def brute_family_close(family: SetFamily, m: int) -> int:
+    """The family closure by its definition: scan every member and
+    intersect those containing m; E when none does."""
+    return oracle_close(family.masks(), family.universe.full_mask, m)
+
+
 def brute_family_closed(n: int, family: SetFamily) -> list[int]:
     """All intersections of subfamilies (the generated closure system)."""
     full = (1 << n) - 1

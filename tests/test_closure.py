@@ -40,9 +40,12 @@ from conftest import (
     U6,
     aset,
     brute_closed_masks,
+    brute_family_close,
+    brute_family_closed,
     fam,
     imp,
     oracle_close,
+    rand_family,
     rand_mask,
     rand_sigma,
     rng_for,
@@ -201,6 +204,62 @@ class TestCloseFamily:
         u = uni(3)
         assert close_family(fam(u, "1"), aset(u, "2")) == u.full()
 
+    @staticmethod
+    def edge_family(rng, u: Universe, k: int) -> SetFamily:
+        """k random members, with the corners the kernel must survive:
+        the empty member, the full member and repeated members."""
+        n = u.size
+        masks = [rng.getrandbits(n) | rand_mask(rng, n) for _ in range(k)]
+        for i in range(k):
+            roll = rng.random()
+            if roll < 0.1:
+                masks[i] = 0
+            elif roll < 0.2:
+                masks[i] = u.full_mask
+            elif roll < 0.3 and i:
+                masks[i] = masks[rng.randrange(i)]
+        return SetFamily(u, tuple(u.from_mask(m) for m in masks))
+
+    def assert_matches_scan(self, family: SetFamily, queries) -> None:
+        c = Closure.from_family(family)
+        for m in queries:
+            assert c.of_mask(m) == brute_family_close(family, m)
+
+    def test_matches_member_scan_on_every_mask(self):
+        for case in range(80):
+            rng = rng_for(63000 + case)
+            n = 1 + case % 8
+            u = uni(n)
+            k = 0 if case % 10 == 0 else rng.randint(1, 12)
+            self.assert_matches_scan(self.edge_family(rng, u, k), range(1 << n))
+
+    def test_empty_dash_full_and_repeated_members(self):
+        u = uni(4)
+        for members in ((), ("-",), ("1 2 3 4",), ("-", "1 2 3 4"), ("1 2", "1 2", "2 3")):
+            self.assert_matches_scan(fam(u, *members), range(16))
+        assert close_family(fam(u), aset(u, "-")) == u.full()
+        assert close_family(fam(u, "-", "1 2 3 4"), aset(u, "-")) == aset(u, "-")
+        assert close_family(fam(u, "1 2", "1 2", "2 3"), aset(u, "2")) == aset(u, "2")
+
+    def test_extent_spans_machine_words(self):
+        # the member selection is a k-bit integer: one, two and four words
+        for k in (1, 63, 64, 65, 200):
+            rng = rng_for(64000 + k)
+            u = uni(8)
+            self.assert_matches_scan(self.edge_family(rng, u, k), range(1 << 8))
+
+    def test_wide_universe(self):
+        for n in (80, 130):
+            for k in (5, 64, 65):
+                rng = rng_for(65000 + 1000 * n + k)
+                u = uni(n)
+                family = self.edge_family(rng, u, k)
+                queries = [0, u.full_mask] + [rand_mask(rng, n) & rand_mask(rng, n)
+                                              for _ in range(150)]
+                queries += [family.masks()[rng.randrange(k)] & rng.getrandbits(n)
+                            for _ in range(150)]
+                self.assert_matches_scan(family, queries)
+
 
 class TestIsClosedEntails:
     def test_is_closed_examples(self):
@@ -357,6 +416,15 @@ class TestLecticEnumeration:
             want = sorted(closed, key=lambda m: self.lectic_key(m, n))
             got = [x.mask for x in enumerate_closed_lectic(s)]
             assert got == want
+
+    def test_family_listing_matches_brute_force(self):
+        for case in range(30):
+            rng = rng_for(66000 + case)
+            n = rng.randint(2, 8)
+            u = uni(n)
+            family = rand_family(rng, u, rng.randint(1, 2 * n))
+            want = sorted(brute_family_closed(n, family), key=lambda m: self.lectic_key(m, n))
+            assert [x.mask for x in enumerate_closed_lectic(family)] == want
 
     def test_mask_listing_takes_complications_on_implication_input_only(self):
         assert list(lectic_masks(EQ25_MF)) == [s.mask for s in enumerate_closed_lectic(EQ38)]
