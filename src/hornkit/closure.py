@@ -65,22 +65,26 @@ def _close_columnwise(
 
     occ[p] lists the rules whose premise contains position p, and need[i]
     counts the premise positions of rule i; axioms unites the conclusions
-    of the empty-premise rules. Each position that joins the set is visited
-    once, and a rule fires when its last premise position joins.
+    of the empty-premise rules. The positions join in layers, and each
+    position is visited once, when its layer is taken: a rule fires when
+    its last premise position is visited. The conclusions of the rules
+    that fire in a layer are united into one mask, and its positions not
+    yet closed make the next layer.
     """
     left = need.copy()
     closed = mask | axioms
     todo = closed
     while todo:
-        low = todo & -todo
-        todo ^= low
-        for i in occ[low.bit_length() - 1]:
-            left[i] -= 1
-            if not left[i]:
-                add = concs[i] & ~closed
-                if add:
-                    closed |= add
-                    todo |= add
+        new = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for i in occ[low.bit_length() - 1]:
+                left[i] -= 1
+                if not left[i]:
+                    new |= concs[i]
+        todo = new & ~closed
+        closed |= todo
     return closed
 
 
@@ -190,8 +194,9 @@ class Closure:
     def from_sigma(cls, sigma: ImplicationSet, layout: str = "column") -> Closure:
         """Closure under sigma, evaluated column-wise by LinClosure
         ("column", the default: a query touches only the rules whose
-        premises meet the positions it adds) or row-wise ("row"). Both give
-        the same sets; ValueError on any other layout."""
+        premises meet the positions it adds, and unites the conclusions
+        that fire in one layer into one mask) or row-wise ("row"). Both
+        give the same sets; ValueError on any other layout."""
         if layout not in ("row", "column"):
             raise ValueError(f"unknown layout {layout!r}")
         return cls(sigma.universe, _kernel(sigma, layout))

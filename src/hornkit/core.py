@@ -108,7 +108,9 @@ class Universe:
         return (type(self), (self.labels,))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Universe) and self.labels == other.labels
+        return other is self or (
+            isinstance(other, Universe) and self.labels == other.labels
+        )
 
     def __hash__(self) -> int:
         return hash(self.labels)

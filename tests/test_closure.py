@@ -117,6 +117,130 @@ class TestClose:
                 assert c.of_mask(m) == oracle_close(closed, u.full_mask, m)
 
 
+def naive_fixpoint(pairs: list[tuple[int, int]], mask: int) -> int:
+    """Fire any applicable rule that adds something until none does."""
+    changed = True
+    while changed:
+        changed = False
+        for prem, conc in pairs:
+            if prem & ~mask == 0 and conc & ~mask:
+                mask |= conc
+                changed = True
+    return mask
+
+
+class TestWideKernels:
+    """Both kernels on universes of hundreds or thousands of positions,
+    where LinClosure runs many layers or fills E in one, against a naive
+    fixpoint loop."""
+
+    @staticmethod
+    def theory(n: int, pairs: list[tuple[int, int]]) -> ImplicationSet:
+        u = Universe(tuple(f"x{i}" for i in range(n)))
+        items = tuple(Implication(u.from_mask(p), u.from_mask(c)) for p, c in pairs)
+        return ImplicationSet(u, items)
+
+    def check(self, s: ImplicationSet, queries: list[int]) -> list[int]:
+        row = Closure.from_sigma(s, "row")
+        column = Closure.from_sigma(s, "column")
+        pairs = s.mask_pairs()
+        got = []
+        for m in queries:
+            want = naive_fixpoint(pairs, m)
+            assert column.of_mask(m) == row.of_mask(m) == want
+            got.append(want)
+        return got
+
+    def test_seeded_theories_percolate(self):
+        big = 0
+        for case in range(8):
+            rng = rng_for(4000 + case)
+            n = rng.randint(300, 1000)
+            pairs = []
+            for _ in range(rng.randint(2 * n, 3 * n)):
+                prem = sum(1 << p for p in rng.sample(range(n), rng.randint(1, 3)))
+                conc = sum(1 << p for p in rng.sample(range(n), rng.randint(1, 3)))
+                pairs.append((prem, conc))
+            queries = [
+                sum(1 << p for p in rng.sample(range(n), rng.randint(1, 6)))
+                for _ in range(12)
+            ]
+            closed = self.check(self.theory(n, pairs), queries)
+            big += sum(c.bit_count() > n // 2 for c in closed)
+        # at least half the queries must percolate through many layers
+        assert big >= 48
+
+    def test_chain_one_position_per_layer(self):
+        n = 2000
+        s = self.theory(n, [(1 << i, 1 << (i + 1)) for i in range(n - 1)])
+        full = (1 << n) - 1
+        tail = full ^ ((1 << 1000) - 1)
+        assert self.check(s, [1, 1 << 1000, 1 << (n - 1), 0]) == [
+            full,
+            tail,
+            1 << (n - 1),
+            0,
+        ]
+        u = s.universe
+        assert entails(s, Implication(u.from_mask(1), u.from_mask(1 << (n - 1))))
+        assert not entails(s, Implication(u.from_mask(2), u.from_mask(1)))
+
+    def test_wide_fan_fills_in_one_layer(self):
+        n = 1000
+        full = (1 << n) - 1
+        fan = self.theory(n, [(1, 1 << i) for i in range(1, n)])
+        whole = self.theory(n, [(1, full), (1, full)])
+        for s in (fan, whole):
+            assert self.check(s, [1, 2, 3]) == [full, 2, full]
+
+    def test_empty_premise_rules(self):
+        n = 500
+        pairs = [
+            (0, 1 << 7),
+            (0, 0),
+            (1 << 7, 1 << 300),
+            (1 << 300 | 1 << 7, 1 << 499),
+        ]
+        want = 1 << 7 | 1 << 300 | 1 << 499
+        assert self.check(self.theory(n, pairs), [0, 1 << 7, 1 << 499, 1]) == [
+            want,
+            want,
+            want,
+            want | 1,
+        ]
+        only = self.theory(n, [(0, (1 << n) - 1)])
+        assert self.check(only, [0, 5]) == [(1 << n) - 1] * 2
+
+    def test_conclusions_inside_premise_or_closed(self):
+        n = 400
+        a, b, c, d = 1 << 3, 1 << 150, 1 << 299, 1 << 399
+        pairs = [
+            (a | b, a),  # inside its own premise
+            (a | b, a | b | c),  # partly inside
+            (c, a),  # already closed when it fires
+            (c, c | d),
+            (d, 0),  # empty conclusion
+        ]
+        s = self.theory(n, pairs)
+        assert self.check(s, [a | b, a, c, a | b | c | d]) == [
+            a | b | c | d,
+            a,
+            a | c | d,
+            a | b | c | d,
+        ]
+
+    def test_two_rules_with_one_premise(self):
+        n = 700
+        p = 1 << 10 | 1 << 600
+        pairs = [(p, 1 << 20), (p, 1 << 650), (1 << 20 | 1 << 650, 1 << 699)]
+        want = p | 1 << 20 | 1 << 650 | 1 << 699
+        assert self.check(self.theory(n, pairs), [p, 1 << 10, p | 1 << 20]) == [
+            want,
+            1 << 10,
+            want,
+        ]
+
+
 class TestCloseTrace:
     def test_chain_shape(self):
         tr = close_trace(EQ38, aset(U6, "2 6"))

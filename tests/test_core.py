@@ -164,6 +164,21 @@ class TestMaskText:
 
 
 class TestSetAlgebra:
+    def test_universe_equality_is_by_labels(self):
+        labels = tuple(f"x{i}" for i in range(1000))
+        u, twin = Universe(labels), Universe(list(labels))
+        assert u is not twin and u.labels is not twin.labels
+        assert u == u and u == twin and twin == u and not (u != twin)
+        assert hash(u) == hash(twin) and repr(u) == repr(twin)
+        assert pickle.dumps(u) == pickle.dumps(twin)
+        for other in (
+            Universe(labels[:-1] + ("y",)),
+            Universe(labels[::-1]),
+            Universe(labels[:-1]),
+        ):
+            assert u != other and other != u and not (u == other)
+        assert u != labels
+
     def test_equality_needs_same_universe(self):
         a = aset(uni(3), "1 2")
         b = aset(uni(4), "1 2")
