@@ -13,9 +13,10 @@ Output has one writer. Each handler is a generator of text blocks (one
 line, or several joined by newlines) and writes nothing itself; ``main``
 prints each non-empty block once, as it comes, so an empty result prints
 nothing and a long listing streams. A lectic listing stays a stream of
-masks until it is printed, ``_LISTING_BLOCK`` lines per block. Sets are
-written by ``Universe.text`` and ``Universe.lines``, which writes the
-empty set as ``-``, the glyph that family files use.
+masks until it is printed, ``_LISTING_BLOCK`` lines per block, and 012n
+rows stay plain mask tuples. Sets are written by ``Universe.text`` and
+``Universe.lines``, which writes the empty set as ``-``, the glyph that
+family files use, and rows by ``Universe.row_lines``.
 
 ``main`` may be called any number of times in one process: the argparse
 tree is built once, by the first call, and keeps nothing from one call to
@@ -219,11 +220,14 @@ def _cmd_enumerate(args, universe, source) -> Iterator[str]:
         while block := list(islice(masks, _LISTING_BLOCK)):
             yield universe.lines(block)
         return
-    system = rows.enumerate_horn(_horn_system(args, universe, source))
+    h = _horn_system(args, universe, source)
     if args.materialize:
-        yield SetFamily(universe, tuple(system.members())).canonical().render()
-    else:
-        yield (rows.to_012(system) if args.expand else system).render()
+        members = rows.enumerate_horn(h).members()
+        yield SetFamily(universe, tuple(members)).canonical().render()
+        return
+    # the rows are printed from their plain tuples; row_lines checks each
+    found = closure.model_rows(h.sigma, h.gamma.masks())
+    yield universe.row_lines(closure.expand_rows(found) if args.expand else found)
 
 
 def _cmd_count(args, universe, source) -> Iterator[str]:

@@ -325,8 +325,9 @@ def quasiclosure(source: ClosureSource, s: AttrSet) -> AttrSet:
 
 # A row in flight: (ones, zeros, free, bubbles), the fields of a Row012n
 # without its universe. The splitters below work on these plain tuples and
-# append their output rows to a list; Row012n, with its partition check, is
-# built once per row that goes back to a caller.
+# append their output rows to a list. Row012n, with its partition check, is
+# built once per row that goes back to a library caller; a printed row is
+# checked by ``Universe.row_lines`` instead.
 Row = tuple[int, int, int, tuple[int, ...]]
 
 
@@ -416,9 +417,42 @@ def _impose(
     return rows
 
 
-def _model_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
-    full: Row = (0, 0, sigma.universe.full_mask, ())
-    return _impose([full], sigma.mask_pairs(), complications)
+def _split_order(pairs: Pairs) -> Pairs:
+    """The pairs in the order that splits the fewest rows: ascending
+    premise size, then descending popularity of the premise, the sum over
+    its positions of the number of premises holding the position.
+
+    A small premise splits a row into few rows, and a popular one fixes
+    positions that many later premises share, so that more of the rows
+    they meet are left whole. The sort is stable, so ties keep the given
+    order and the result is deterministic.
+    """
+    hits: dict[int, int] = {}
+    for prem, _ in pairs:
+        for p in bits(prem):
+            hits[p] = hits.get(p, 0) + 1
+
+    def key(pair: tuple[int, int]) -> tuple[int, int]:
+        prem = pair[0]
+        return prem.bit_count(), -sum([hits[p] for p in bits(prem)])
+
+    return sorted(pairs, key=key)
+
+
+def _model_rows(
+    universe: Universe, pairs: Pairs, complications: Iterable[int] = ()
+) -> list[Row]:
+    """Disjoint rows of the subsets of the universe that respect every
+    (premise, conclusion) mask pair, imposed in the order given, and cover
+    no complication mask."""
+    return _impose([(0, 0, universe.full_mask, ())], pairs, complications)
+
+
+def model_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    """Disjoint rows of the closed sets of sigma that cover no complication
+    mask, as plain tuples, with the rules imposed in their given order:
+    the rows that ``enumerate`` prints and ``rows.enumerate_horn`` wraps."""
+    return _model_rows(sigma.universe, sigma.mask_pairs(), complications)
 
 
 def _expand_bubbles(row: Row, out: list[Row]) -> None:
@@ -436,13 +470,25 @@ def _expand_bubbles(row: Row, out: list[Row]) -> None:
         before |= p
 
 
-def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
-    """Bubble-free rows of the closed sets of sigma that cover no
-    complication mask, as plain tuples: the rows of to_012(enumerate_horn)."""
+def expand_rows(rows: Iterable[Row]) -> list[Row]:
+    """Equivalent bubble-free rows, in order: each k-position bubble
+    becomes the k disjoint rows 0 2..2, 1 0 2..2, ..., 1..1 0."""
     out: list[Row] = []
-    for row in _model_rows(sigma, complications):
+    for row in rows:
         _expand_bubbles(row, out)
     return out
+
+
+def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    """Bubble-free rows of the closed sets of sigma that cover no
+    complication mask, as plain tuples.
+
+    These rows are never printed, so the rules are imposed in
+    ``_split_order``: the same sets as the rows of ``model_rows``, in
+    fewer rows, but not the same rows.
+    """
+    pairs = _split_order(sigma.mask_pairs())
+    return expand_rows(_model_rows(sigma.universe, pairs, complications))
 
 
 def lectic_masks(source: ClosureSource, complications: Iterable[int] = ()) -> Iterator[int]:

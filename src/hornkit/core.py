@@ -79,7 +79,7 @@ def extreme_masks(masks: Iterable[int], maximal: bool = False) -> list[int]:
 class Universe:
     """Ordered set of attribute labels; positions are stable 0..size-1."""
 
-    __slots__ = ("labels", "index", "size", "full_mask", "_text")
+    __slots__ = ("labels", "index", "size", "full_mask", "_text", "_lanes")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -103,6 +103,9 @@ class Universe:
         #: and copies, and each entry is written with one fixed text, so
         #: threads may share a universe
         self._text: list[dict[int, str]] | None = None
+        #: the lane layout of ``row_lines``, made on its first call, on the
+        #: same terms as ``_text``
+        self._lanes: tuple | None = None
 
     def __reduce__(self):
         return (type(self), (self.labels,))
@@ -153,6 +156,54 @@ class Universe:
         text = self.text
         return "\n".join([text(m) or "-" for m in masks])
 
+    def row_lines(self, rows: Iterable[tuple[int, int, int, tuple[int, ...]]]) -> str:
+        """The 012n rows ``(ones, zeros, free, bubbles)``, one line each:
+        per position 1 (forced present), 0 (forced absent), 2 (free) or
+        the name of its bubble, one space apart. Bubble i is named in
+        bijective base 26: a to z, then aa, ab, and so on.
+
+        Each mask is spread to one lane per position, by reading its bit
+        string as big-endian characters of one byte (four bytes past 507
+        positions). Lane p of a row ends up holding 1 for a forced
+        present, 2 for a free position and 3 + i in bubble i, and one
+        ``str.translate`` writes the symbols: a row costs a few big-int
+        steps per mask, not a step per position.
+
+        Every row is checked here, so every printed row is: InvariantError
+        unless its masks partition the universe (they cover it, and their
+        sizes add up to its size) and each bubble has two positions or more.
+        """
+        lanes = self._lanes
+        if lanes is None:
+            lanes = self._lanes = _row_lanes(self.size)
+        fmt, enc, dec, nbytes, zero, table = lanes
+        n = self.size
+        full = self.full_mask
+        spread = int.from_bytes
+        lines = []
+        for ones, zeros, free, bubbles in rows:
+            acc = ones | zeros | free
+            size = ones.bit_count() + zeros.bit_count() + free.bit_count()
+            # each spread also puts the character "0" in every lane; those
+            # characters, weight of them per lane, come off at the end
+            code = spread(format(ones, fmt).encode(enc), "big") + 2 * spread(
+                format(free, fmt).encode(enc), "big"
+            )
+            weight = 3
+            for c, b in enumerate(bubbles, 3):
+                k = b.bit_count()
+                if k < 2:
+                    raise InvariantError("a bubble needs at least two positions")
+                acc |= b
+                size += k
+                code += c * spread(format(b, fmt).encode(enc), "big")
+                weight += c
+            if acc != full or size != n:
+                raise InvariantError("row masks do not partition the universe")
+            text = (code - weight * zero).to_bytes(nbytes, "little").decode(dec, "surrogatepass")
+            lines.append(text.translate(table)[:-1])
+        return "\n".join(lines)
+
     # -- set construction -------------------------------------------------
 
     def set_of(self, labels: Iterable[str]) -> AttrSet:
@@ -179,6 +230,33 @@ class Universe:
         if tokens == ["-"]:
             return self.empty()
         return self.set_of(tokens)
+
+
+def _bubble_name(i: int) -> str:
+    """The name of bubble i in bijective base 26: a..z, aa..az, ba, ..."""
+    name = ""
+    i += 1
+    while i:
+        i, r = divmod(i - 1, 26)
+        name = chr(ord("a") + r) + name
+    return name
+
+
+def _row_lanes(n: int) -> tuple:
+    """The lane layout of ``Universe.row_lines`` at n positions: the bit
+    string format, the codecs that spread a bit string to lanes and read
+    lanes back as characters, the byte length of a row, the lane integer
+    of n "0" characters, and the table from lane values to symbols. A row
+    has at most n // 2 bubbles, so its lane values stay below n // 2 + 3,
+    and one byte per lane holds them up to 507 positions."""
+    enc, dec, width = ("latin-1", "latin-1", 1) if n // 2 + 3 <= 256 else (
+        "utf-32-be", "utf-32-le", 4
+    )
+    table = {0: "0 ", 1: "1 ", 2: "2 "}
+    for i in range(n // 2):
+        table[3 + i] = _bubble_name(i) + " "
+    zero = int.from_bytes(("0" * n).encode(enc), "big")
+    return f"0{n}b", enc, dec, width * n, zero, table
 
 
 def set_text(s: AttrSet) -> str:

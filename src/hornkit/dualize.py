@@ -77,7 +77,10 @@ def _row_tops(source: ClosureSource) -> list[tuple[int, int]]:
     A family lists its members (forced = top = member); an implication
     family lists the bubble-free 012 rows of F(sigma), where the largest
     member of a row avoiding e is its top less e unless the row forces e;
-    a bare operator lists its closed sets.
+    a bare operator lists its closed sets. The rows come from
+    ``flat_rows``, which imposes the rules in the split-saving order of
+    ``closure._split_order``: they are never printed, and only their
+    members matter here.
     """
     if isinstance(source, ImplicationSet):
         return [(ones, ones | free) for ones, _, free, _ in flat_rows(source)]

@@ -17,10 +17,12 @@ from .canonical import shock_minimize
 from .closure import (
     Closure,
     Row,
-    _expand_bubbles,
     _impose,
     _model_rows,
+    _split_order,
+    expand_rows,
     lectic_masks,
+    model_rows,
 )
 from .core import (
     AttrSet,
@@ -28,7 +30,6 @@ from .core import (
     ImplicationSet,
     SetFamily,
     Universe,
-    bits,
     submasks,
 )
 from .errors import InvariantError, UniverseMismatchError
@@ -68,9 +69,7 @@ class Row012n:
 
     def members(self) -> Iterator[int]:
         """Member masks, read off the row's bubble-free expansion."""
-        flat: list[Row] = []
-        _expand_bubbles((self.ones, self.zeros, self.free, self.bubbles), flat)
-        for ones, _, free, _ in flat:
+        for ones, _, free, _ in expand_rows((self._tuple(),)):
             for f in submasks(free):
                 yield ones | f
 
@@ -89,16 +88,11 @@ class Row012n:
         return True
 
     def render(self) -> str:
-        symbols = ["2"] * self.universe.size
-        for p in bits(self.ones):
-            symbols[p] = "1"
-        for p in bits(self.zeros):
-            symbols[p] = "0"
-        for i, b in enumerate(self.bubbles):
-            letter = chr(ord("a") + i)
-            for p in bits(b):
-                symbols[p] = letter
-        return " ".join(symbols)
+        """The row in 012n notation, by ``Universe.row_lines``."""
+        return self.universe.row_lines((self._tuple(),))
+
+    def _tuple(self) -> Row:
+        return self.ones, self.zeros, self.free, self.bubbles
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +122,8 @@ class RowSystem:
         return True
 
     def render(self) -> str:
-        return "\n".join(r.render() for r in self.rows)
+        """One row per line, by ``Universe.row_lines``."""
+        return self.universe.row_lines(_tuples(self))
 
 
 def _size(free: int, bubbles: tuple[int, ...]) -> int:
@@ -139,7 +134,7 @@ def _size(free: int, bubbles: tuple[int, ...]) -> int:
 
 
 def _tuples(rows: RowSystem) -> list[Row]:
-    return [(r.ones, r.zeros, r.free, r.bubbles) for r in rows.rows]
+    return [r._tuple() for r in rows.rows]
 
 
 def _system(universe: Universe, rows: list[Row]) -> RowSystem:
@@ -163,17 +158,23 @@ def impose_complication(rows: RowSystem, aset: AttrSet) -> RowSystem:
 
 def enumerate_compact(sigma: ImplicationSet) -> RowSystem:
     """Disjoint 012n-rows denoting exactly the closed sets of sigma."""
-    return _system(sigma.universe, _model_rows(sigma))
+    return _system(sigma.universe, model_rows(sigma))
 
 
 def count(rows: RowSystem | HornSystem) -> int:
     """Denotation cardinality (rows must be disjoint, which they are by
-    construction here). A HornSystem is counted off its rows, Mod(h),
-    without building them."""
+    construction here).
+
+    A HornSystem is counted off the plain rows of Mod(h), with no Row012n
+    built. Those rows are never printed, so its rules are imposed in the
+    split-saving order of ``closure._split_order``, which gives fewer rows
+    than the given order and the same count.
+    """
     if isinstance(rows, HornSystem):
+        pairs = _split_order(rows.sigma.mask_pairs())
         return sum(
             _size(free, bubbles)
-            for _, _, free, bubbles in _model_rows(rows.sigma, rows.gamma.masks())
+            for _, _, free, bubbles in _model_rows(rows.universe, pairs, rows.gamma.masks())
         )
     return rows.count()
 
@@ -181,10 +182,7 @@ def count(rows: RowSystem | HornSystem) -> int:
 def to_012(rows: RowSystem) -> RowSystem:
     """Equivalent bubble-free rows: each k-position bubble becomes the k
     disjoint rows 0 2..2, 1 0 2..2, ..., 1..1 0."""
-    out: list[Row] = []
-    for row in _tuples(rows):
-        _expand_bubbles(row, out)
-    return _system(rows.universe, out)
+    return _system(rows.universe, expand_rows(_tuples(rows)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +209,7 @@ class HornSystem:
 def enumerate_horn(h: HornSystem) -> RowSystem:
     """Disjoint rows denoting Mod(h): the closed sets that cover no
     complication."""
-    return _system(h.universe, _model_rows(h.sigma, h.gamma.masks()))
+    return _system(h.universe, model_rows(h.sigma, h.gamma.masks()))
 
 
 def enumerate_horn_lectic(h: HornSystem) -> Iterator[AttrSet]:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import count as naturals, product
+from string import ascii_lowercase
+from typing import Iterator
 
 from hornkit import (
     AttrSet,
@@ -284,6 +287,15 @@ def brute_pseudoclosed(n: int, closed: list[int]) -> set[int]:
     return out
 
 
+def brute_minimal_keys(n: int, closed: list[int]) -> set[int]:
+    """The minimal sets whose closure is E, by scanning the powerset; a
+    superset of a key is a key, so a key is minimal iff no key lies one
+    element below it."""
+    full = (1 << n) - 1
+    keys = {m for m in range(1 << n) if oracle_close(closed, full, m) == full}
+    return {k for k in keys if not any(k >> p & 1 and k & ~(1 << p) in keys for p in range(n))}
+
+
 def brute_meet_irreducibles(n: int, closed: list[int]) -> set[int]:
     full = (1 << n) - 1
     out = set()
@@ -299,12 +311,18 @@ def brute_meet_irreducibles(n: int, closed: list[int]) -> set[int]:
     return out
 
 
+def oracle_bubble_names() -> Iterator[str]:
+    """a, ..., z, aa, ab, ..., zz, aaa, ...: the words over a-z, shortest
+    first and alphabetical within a length (bijective base 26)."""
+    for size in naturals(1):
+        for letters in product(ascii_lowercase, repeat=size):
+            yield "".join(letters)
+
+
 def oracle_row_text(row) -> str:
     """A Row012n rendered position by position: 1 forced present, 0 forced
-    absent, 2 free, and the letter of the bubble holding the position."""
-    names: dict[int, str] = {}
-    for b in row.bubbles:
-        names[b] = chr(ord("a") + len(names))
+    absent, 2 free, and the name of the bubble holding the position."""
+    names = dict(zip(row.bubbles, oracle_bubble_names()))
     symbols = []
     for p in range(row.universe.size):
         bit = 1 << p

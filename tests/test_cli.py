@@ -315,6 +315,21 @@ class TestVerbTour:
         )
         assert comp.splitlines()[-1] == "! 1 2 3 4 5 6"
 
+    def test_enumerate_names_bubbles_past_z(self, capsys, tmp_path):
+        # 27 rules x(2i-1) x(2i) -> x55: the first row holds 27 bubbles
+        theory = tmp_path / "pairs.imp"
+        theory.write_text(
+            "elements: " + " ".join(map(str, range(1, 56))) + "\n"
+            + "".join(f"{2 * i - 1} {2 * i} -> 55\n" for i in range(1, 28)),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "enumerate", "--sigma", str(theory))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 28
+        assert lines[0].split()[48:] == ["y", "y", "z", "z", "aa", "aa", "2"]
+        _, cnt, _ = run(capsys, "count", "--sigma", str(theory))
+        assert cnt == f"{2**54 + 3**27}\n" == "18022024106966971\n"
+
     def test_cmax_of(self, files, capsys):
         _, out, _ = run(
             capsys, "dualize", "--family", files["mf.fam"], "--cmax-of", "4"

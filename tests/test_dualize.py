@@ -7,17 +7,16 @@ from hornkit import (
     UniverseMismatchError,
     close_family,
     cmax_from_stems,
-    enumerate_compact,
     max_noncovers,
     meet_irreducibles,
     minimal_keys,
     minimal_transversals,
     stem_table,
     stems_from_meetirr,
-    to_012,
 )
 
-from hornkit.dualize import _row_tops
+from hornkit.core import submasks
+from hornkit.dualize import _max_avoiding, _row_tops
 
 from conftest import (
     EQ25_MF,
@@ -41,14 +40,31 @@ def masks(family):
 
 
 class TestRowTops:
-    def test_tuples_match_the_row_objects(self):
-        # _row_tops reads the bubble-free tuples; the public route builds a
-        # checked Row012n per row, and both must list the same rows
+    def test_rows_partition_the_closed_sets(self):
+        # _row_tops reads bubble-free rows, each the interval [forced, top],
+        # with the rules imposed in split order: the rows must be pairwise
+        # disjoint, hold exactly the closed sets, and give max(F,e)
         for case in range(40):
             rng = rng_for(64000 + case)
-            s = rand_sigma(rng, uni(rng.randint(1, 9)))
-            rows = to_012(enumerate_compact(s)).rows
-            assert _row_tops(s) == [(r.ones, r.ones | r.free) for r in rows]
+            n = rng.randint(1, 9)
+            s = rand_sigma(rng, uni(n))
+            tops = _row_tops(s)
+            for i, (f1, t1) in enumerate(tops):
+                for f2, t2 in tops[i + 1 :]:
+                    # two intervals meet iff both tops hold both bottoms
+                    assert (f1 | f2) & ~(t1 & t2)
+            closed = brute_closed_masks(n, s)
+            members = [f | sub for f, t in tops for sub in submasks(t & ~f)]
+            assert sorted(members) == closed
+            for e in range(n):
+                avoiding = [m for m in closed if not m >> e & 1]
+                want = {
+                    m
+                    for m in avoiding
+                    if not any(x != m and m & ~x == 0 for x in avoiding)
+                }
+                assert set(_max_avoiding(tops, e)) == want
+                assert masks(max_noncovers(s, e)) == want
 
 
 class TestMinimalTransversals:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from hornkit import (
@@ -16,18 +18,35 @@ from hornkit import (
     horn_satisfiable,
     impose_complication,
     impose_implication,
+    meet_irreducibles,
+    minimal_keys,
     near_minimum_base,
+    stem_table,
     to_012,
 )
+
+from hornkit.closure import (
+    _model_rows,
+    _split_order,
+    expand_rows,
+    flat_rows,
+    lectic_masks,
+    model_rows,
+)
+from hornkit.rows import _system
 
 from conftest import (
     EQ38,
     U6,
     aset,
     brute_closed_masks,
+    brute_meet_irreducibles,
+    brute_minimal_keys,
+    brute_stems,
     exact_min_base_size,
     fam,
     imp,
+    oracle_bubble_names,
     oracle_row_text,
     rand_family,
     rand_sigma,
@@ -114,6 +133,111 @@ class TestRow012n:
             masks = [sum(1 << p for p in range(n) if parts[p] == i) for i in range(3 + k)]
             r = Row012n(u, masks[0], masks[1], masks[2], tuple(masks[3:]))
             assert r.render() == oracle_row_text(r)
+
+
+def pairs_theory(k: int) -> ImplicationSet:
+    """2k + 1 elements and the k rules x(2i-1) x(2i) -> x(2k+1): the given
+    order leaves k bubbles in the first row."""
+    u = uni(2 * k + 1)
+    return sig(u, *(f"{2 * i - 1} {2 * i} -> {2 * k + 1}" for i in range(1, k + 1)))
+
+
+class TestRowLines:
+    """Universe.row_lines is the one row renderer: Row012n.render,
+    RowSystem.render and the enumerate verb all print through it."""
+
+    def assert_matches_oracle(self, u, rows):
+        assert u.row_lines(rows) == "\n".join(oracle_row_text(Row012n(u, *r)) for r in rows)
+        for r in rows:
+            assert u.row_lines([r]) == oracle_row_text(Row012n(u, *r))
+
+    def test_bubble_names_past_z(self):
+        s = pairs_theory(27)
+        rows = model_rows(s)
+        names = [*"abcdefghijklmnopqrstuvwxyz", "aa"]
+        assert len(rows) == 28
+        assert s.universe.row_lines(rows[:1]) == " ".join(x for x in names for _ in "xy") + " 2"
+        assert enumerate_compact(s).render().split("\n")[0].endswith("z z aa aa 2")
+        assert count(HornSystem(s, SetFamily(s.universe, ()))) == 2**54 + 3**27
+        self.assert_matches_oracle(s.universe, rows)
+        few = [r for r in rows if len(r[3]) <= 3]
+        self.assert_matches_oracle(s.universe, expand_rows(few))
+
+    def test_oracle_names(self):
+        names = list(islice(oracle_bubble_names(), 703))
+        assert [names[i] for i in (0, 25, 26, 27, 51, 52, 701, 702)] == [
+            "a", "z", "aa", "ab", "az", "ba", "zz", "aaa",
+        ]
+
+    def test_compact_and_flat_rows_of_random_theories(self):
+        # n = 1, and sizes on both sides of a multiple of 8
+        for case in range(60):
+            rng = rng_for(42000 + case)
+            n = (1, 7, 9, 15, 17, 22)[case % 6] if case % 5 else 1
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            g = rand_family(rng, u, k=rng.randint(0, 2)).masks()
+            for rows in (model_rows(s, g), expand_rows(model_rows(s, g)), flat_rows(s, g)):
+                self.assert_matches_oracle(u, rows)
+
+    def test_four_byte_lanes(self):
+        # past 507 positions a row may have more than 253 bubbles
+        n = 601
+        u = uni(n)
+        bubbles = tuple(3 << (2 * i) for i in range(300))
+        rows = [(0, 1 << 600, 0, bubbles), (1 << 600, 0, (1 << 600) - 1, ())]
+        self.assert_matches_oracle(u, rows)
+        assert u.row_lines(rows[:1]).split()[-3:] == ["kn", "kn", "0"]
+
+    def test_rows_that_do_not_partition_are_refused(self):
+        u = uni(6)
+        bad = [
+            (1, 1, 62, ()),  # position 1 forced both ways
+            (1, 2, 56, ()),  # positions 3 and 4 in no part
+            (0, 0, 62, (1,)),  # a one-position bubble
+            (0, 0, 60, (3, 6)),  # two bubbles share position 2
+            (0, 0, 63, (3, 12)),  # bubbles inside the free positions
+            (64, 0, 63, ()),  # a position outside the universe
+        ]
+        for row in bad:
+            with pytest.raises(InvariantError):
+                u.row_lines([(0, 0, 63, ()), row])
+        assert u.row_lines([]) == ""
+
+
+class TestSplitOrder:
+    """Row listings that are never printed impose the rules in
+    closure._split_order; the order must change no answer."""
+
+    def test_split_order_sorts_by_size_then_popularity(self):
+        u = uni(5)
+        s = sig(u, "1 2 3 -> 4", "4 5 -> 1", "1 2 -> 3", "5 -> 1", "1 -> 5", "-> 2", "4 -> 3")
+        # premises holding each position: 1 in three, 2, 4 and 5 in two, 3
+        # in one; "5 -> 1" and "4 -> 3" tie at 2 and keep their order
+        want = sig(u, "-> 2", "1 -> 5", "5 -> 1", "4 -> 3", "1 2 -> 3", "4 5 -> 1", "1 2 3 -> 4")
+        assert _split_order(s.mask_pairs()) == want.mask_pairs()
+
+    def test_orders_agree_with_brute_force(self):
+        for case in range(200):
+            rng = rng_for(41000 + case)
+            n = rng.randint(1, 10)
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            h = HornSystem(s, rand_family(rng, u, k=rng.randint(0, 3)))
+            gamma = h.gamma.masks()
+            closed = brute_closed_masks(n, s)
+            models = [m for m in closed if all(a & ~m for a in gamma)]
+            given = _system(u, model_rows(s, gamma))
+            split = _system(u, _model_rows(u, _split_order(s.mask_pairs()), gamma))
+            assert given.pairwise_disjoint() and split.pairwise_disjoint()
+            assert given.member_masks() == split.member_masks() == set(models)
+            assert given.count() == split.count() == count(h) == len(models)
+            models.sort(key=lambda m: [m >> p & 1 for p in range(n)])
+            assert list(lectic_masks(s, gamma)) == models
+            assert meet_irreducibles(s).as_mask_set() == brute_meet_irreducibles(n, closed)
+            assert minimal_keys(s).as_mask_set() == brute_minimal_keys(n, closed)
+            stems = stem_table(s).stems_of
+            assert {e: f.as_mask_set() for e, f in stems.items()} == brute_stems(n, closed)
 
 
 class TestImpose:
