@@ -16,13 +16,13 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
+    EXHAUSTIVE_LIMIT,
     AttrSet,
     ImplicationSet,
     Implication,
     SetFamily,
     Universe,
     bits,
-    exhaustive_bound,
     submasks,
 )
 from .errors import BoundExceededError, UniverseMismatchError
@@ -298,19 +298,18 @@ def quasiclosure(source: ClosureSource, s: AttrSet) -> AttrSet:
     """Least fixpoint of S° = S ∪ ⋃{c(U) : U ⊆ S, c(U) ≠ c(S)}.
 
     Quantifies over all subsets of the current set, so it raises
-    BoundExceededError when the set grows beyond HORNKIT_MAX_EXHAUSTIVE
-    elements (default 20).
+    BoundExceededError when the set grows beyond ``core.EXHAUSTIVE_LIMIT``
+    (20) elements.
     """
     c = Closure.wrap(source)
     if s.universe != c.universe:
         raise UniverseMismatchError("set outside the operator's universe")
-    limit = exhaustive_bound()
     cur = s.mask
     while True:
-        if cur.bit_count() > limit:
+        if cur.bit_count() > EXHAUSTIVE_LIMIT:
             raise BoundExceededError(
                 f"quasiclosure needs all subsets of a {cur.bit_count()}-element set"
-                f" (bound {limit})"
+                f" (bound {EXHAUSTIVE_LIMIT})"
             )
         c_cur = c.of_mask(cur)
         acc = cur
@@ -479,16 +478,20 @@ def expand_rows(rows: Iterable[Row]) -> list[Row]:
     return out
 
 
-def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
-    """Bubble-free rows of the closed sets of sigma that cover no
-    complication mask, as plain tuples.
+def split_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    """Disjoint rows of the closed sets of sigma that cover no complication
+    mask, as plain tuples, for callers that never print them.
 
-    These rows are never printed, so the rules are imposed in
-    ``_split_order``: the same sets as the rows of ``model_rows``, in
-    fewer rows, but not the same rows.
+    The rules are imposed in ``_split_order``: the same sets as the rows of
+    ``model_rows``, in fewer rows, but not the same rows.
     """
     pairs = _split_order(sigma.mask_pairs())
-    return expand_rows(_model_rows(sigma.universe, pairs, complications))
+    return _model_rows(sigma.universe, pairs, complications)
+
+
+def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[Row]:
+    """The rows of ``split_rows`` with their bubbles expanded."""
+    return expand_rows(split_rows(sigma, complications))
 
 
 def lectic_masks(source: ClosureSource, complications: Iterable[int] = ()) -> Iterator[int]:

@@ -8,7 +8,6 @@ algebra in the closure algorithms word-parallel.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -17,16 +16,9 @@ from .errors import InvariantError, ParseError, UniverseMismatchError
 _HEADER = "elements:"
 
 
-def exhaustive_bound() -> int:
-    """Size limit of the stem search and quasiclosure: 20 elements, or
-    HORNKIT_MAX_EXHAUSTIVE when set."""
-    raw = os.environ.get("HORNKIT_MAX_EXHAUSTIVE")
-    if raw is None:
-        return 20
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"HORNKIT_MAX_EXHAUSTIVE must be an integer, got {raw!r}")
+#: size limit, in elements, of the stem search and quasiclosure, whose work
+#: grows exponentially with the set they range over
+EXHAUSTIVE_LIMIT = 20
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -87,9 +79,10 @@ class Universe:
             raise ParseError("empty universe declaration")
         index: dict[str, int] = {}
         for pos, lab in enumerate(labels):
-            # "-" is the empty set, "->" splits implication lines, "#" starts
-            # a comment
-            if not lab or lab == "-" or "->" in lab or "#" in lab:
+            # sets render as labels one space apart, so a label must be one
+            # nonempty word; "-" is the empty set, "->" splits implication
+            # lines, "#" starts a comment
+            if lab.split() != [lab] or lab == "-" or "->" in lab or "#" in lab:
                 raise ParseError(f"illegal label {lab!r}")
             if lab in index:
                 raise ParseError(f"duplicate label {lab!r}")

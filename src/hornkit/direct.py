@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 from .closure import Closure, ClosureSource, source_universe
 from .core import (
+    EXHAUSTIVE_LIMIT,
     AttrSet,
     Implication,
     ImplicationSet,
     Universe,
     bits,
-    exhaustive_bound,
 )
 from .dualize import StemTable
 from .errors import (
@@ -38,14 +38,13 @@ def stem_table(source: ClosureSource) -> StemTable:
     """All stems and roots, by dualization: stems(e) = mtr(cmax(F,e)) \\ {e}.
 
     Raises BoundExceededError when the premise elements (the full universe
-    for family-given operators) outnumber HORNKIT_MAX_EXHAUSTIVE (default
-    20).
+    for family-given operators) outnumber ``core.EXHAUSTIVE_LIMIT`` (20).
     """
     ground = _search_ground(source)
-    limit = exhaustive_bound()
-    if ground.bit_count() > limit:
+    if ground.bit_count() > EXHAUSTIVE_LIMIT:
         raise BoundExceededError(
-            f"stem search over {ground.bit_count()} premise elements (bound {limit})"
+            f"stem search over {ground.bit_count()} premise elements"
+            f" (bound {EXHAUSTIVE_LIMIT})"
         )
     return StemTable.of(source)
 

@@ -15,7 +15,7 @@ class UniverseMismatchError(HornkitError):
 
 class BoundExceededError(HornkitError):
     """The stem search or quasiclosure refused a ground set larger than
-    HORNKIT_MAX_EXHAUSTIVE elements (default 20)."""
+    ``core.EXHAUSTIVE_LIMIT`` (20) elements."""
 
 
 class NotAcyclicError(HornkitError):

@@ -18,11 +18,10 @@ from .closure import (
     Closure,
     Row,
     _impose,
-    _model_rows,
-    _split_order,
     expand_rows,
     lectic_masks,
     model_rows,
+    split_rows,
 )
 from .core import (
     AttrSet,
@@ -165,16 +164,13 @@ def count(rows: RowSystem | HornSystem) -> int:
     """Denotation cardinality (rows must be disjoint, which they are by
     construction here).
 
-    A HornSystem is counted off the plain rows of Mod(h), with no Row012n
-    built. Those rows are never printed, so its rules are imposed in the
-    split-saving order of ``closure._split_order``, which gives fewer rows
-    than the given order and the same count.
+    A HornSystem is counted off the plain rows of Mod(h) from
+    ``closure.split_rows``, with no Row012n built.
     """
     if isinstance(rows, HornSystem):
-        pairs = _split_order(rows.sigma.mask_pairs())
         return sum(
             _size(free, bubbles)
-            for _, _, free, bubbles in _model_rows(rows.universe, pairs, rows.gamma.masks())
+            for _, _, free, bubbles in split_rows(rows.sigma, rows.gamma.masks())
         )
     return rows.count()
 

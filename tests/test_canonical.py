@@ -9,6 +9,7 @@ from hornkit import (
     equivalent,
     gd_base,
     is_minimum,
+    load_family,
     normalize,
     pseudoclosed_sets,
     remove_redundancy,
@@ -20,9 +21,7 @@ from conftest import (
     ACYC7,
     EQ15,
     EQ15_GD,
-    EQ25_MF,
     EQ27_CD,
-    EQ38,
     FIG4A,
     FIG4A_GD,
     SHOCK_MIN,
@@ -33,6 +32,7 @@ from conftest import (
     fam,
     imp,
     oracle_close,
+    padded_mf_text,
     pairs,
     rand_family,
     rand_sigma,
@@ -63,24 +63,29 @@ class TestPseudoclosed:
         got = {p.render() for p in rep.pseudoclosed}
         assert got == {str(k) for k in range(1, 9)}
 
-    def test_bound_refusal(self, monkeypatch):
+    def test_bound_refusal(self):
         # a bare operator has no rules, so its base goes through the stem
         # search over the whole universe, which the limit guards
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "5")
-        with pytest.raises(BoundExceededError):
-            pseudoclosed_sets(Closure.from_sigma(EQ15))
+        with pytest.raises(
+            BoundExceededError, match=r"^stem search over 21 premise elements \(bound 20\)$"
+        ):
+            pseudoclosed_sets(Closure.from_sigma(ImplicationSet(uni(21), ())))
 
-    def test_family_over_limit_refused(self, monkeypatch):
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
-        with pytest.raises(BoundExceededError):
-            pseudoclosed_sets(EQ25_MF)
+    def test_family_over_limit_refused(self):
+        _, mf24 = load_family(padded_mf_text())
+        with pytest.raises(
+            BoundExceededError, match=r"^stem search over 24 premise elements \(bound 20\)$"
+        ):
+            pseudoclosed_sets(mf24)
 
-    def test_implication_input_has_no_limit(self, monkeypatch):
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
-        base = gd_base(EQ38)
-        want = brute_pseudoclosed(6, brute_closed_masks(6, EQ38))
-        assert {i.premise.mask for i in base} == want
-        assert equivalent(base, EQ38)
+    def test_implication_input_has_no_limit(self):
+        # 21 independent rules x_i -> y_i over 42 elements, past the limit:
+        # the pseudoclosed sets are the singletons {x_i}
+        u = uni(42)
+        s = ImplicationSet(u, tuple(imp(u, f"{i} -> {i + 21}") for i in range(1, 22)))
+        base = gd_base(s)
+        assert sorted(i.premise.mask for i in base) == [1 << i for i in range(21)]
+        assert equivalent(base, s)
 
     def test_large_implication_input(self):
         # n = 100 lies far past the stem-search limit, which a family of the
@@ -325,9 +330,8 @@ class TestIsMinimum:
     def test_empty_is_minimum(self):
         assert is_minimum(ImplicationSet(uni(3), ()))
 
-    def test_no_size_bound(self, monkeypatch):
+    def test_no_size_bound(self):
         # Shock's base is polynomial, so no exhaustive bound applies
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
         u = uni(30)
         chain = tuple(imp(u, f"{i} -> {i + 1}") for i in range(1, 30))
         assert is_minimum(ImplicationSet(u, chain))

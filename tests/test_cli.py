@@ -77,10 +77,9 @@ def files(tmp_path):
 
 
 @pytest.fixture
-def padded_mf(tmp_path, monkeypatch):
+def padded_mf(tmp_path):
     """MF padded to 24 elements, past the stem-search limit; the 18 new
     ones are in every member."""
-    monkeypatch.delenv("HORNKIT_MAX_EXHAUSTIVE", raising=False)
     padded = tmp_path / "mf24.fam"
     padded.write_text(padded_mf_text(), encoding="utf-8")
     return str(padded)

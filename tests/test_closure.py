@@ -471,11 +471,13 @@ class TestQuasiclosure:
                 assert q.mask & ~c.of_mask(m) == 0
                 assert quasiclosure(s, q) == q
 
-    def test_bound_refusal(self, monkeypatch):
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "3")
-        u = uni(6)
-        with pytest.raises(BoundExceededError):
-            quasiclosure(EQ38, u.full())
+    def test_bound_refusal(self):
+        u = uni(21)
+        with pytest.raises(
+            BoundExceededError,
+            match=r"^quasiclosure needs all subsets of a 21-element set \(bound 20\)$",
+        ):
+            quasiclosure(ImplicationSet(u, ()), u.full())
 
     def test_matches_definition_over_intersection_closure(self):
         # oracle evaluates the same fixpoint formula, but with the closure

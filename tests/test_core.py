@@ -54,6 +54,10 @@ class TestParsing:
             parse_universe("elements: a - b")
         with pytest.raises(ParseError):
             parse_universe("elements: a ->")
+        # "a b" would render as two labels that parse_set cannot read back
+        for lab in ("a b", "", " a", "a\t", "a\nb"):
+            with pytest.raises(ParseError, match="illegal label"):
+                Universe([lab, "c"])
 
     def test_labels_containing_an_arrow_rejected(self):
         # such a label could never be used on an implication line, nor

