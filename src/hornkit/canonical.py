@@ -5,8 +5,9 @@ Shock's minimum-base algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .closure import Closure, ClosureSource, _close_rowwise, source_universe
+from .closure import Closure, ClosureSource, _close_columnwise, _columns, source_universe
 from .core import AttrSet, Implication, ImplicationSet, SetFamily, normalize
 from .direct import canonical_direct
 
@@ -19,24 +20,38 @@ class PseudoclosedReport:
     essential_closures: SetFamily
 
 
+def _leave_one_out(sigma: ImplicationSet) -> Iterator[tuple[int, int]]:
+    """(i, closure of premise i under the other rules) for each rule i, left
+    to right, that they do not entail; an entailed rule is dropped for good.
+    Rule i is knocked out by a conclusion of 0 while its own check runs."""
+    occ, need, concs, axioms = _columns(sigma)
+    empty = [j for j, k in enumerate(need) if not k]
+    for i, (prem, conc) in enumerate(sigma.mask_pairs()):
+        concs[i] = 0
+        if not prem:
+            axioms = 0
+            for j in empty:
+                axioms |= concs[j]
+        closed = _close_columnwise((occ, need, concs, axioms), conc, prem)
+        if conc & ~closed:
+            concs[i] = conc
+            if not prem:
+                axioms |= conc
+            yield i, closed
+
+
 def _gd_pairs(source: ClosureSource) -> list[tuple[int, int]]:
     """(P, c(P)) for every pseudoclosed P, by left-saturating a minimum base.
 
     Shock's base of the source (sigma itself, or the canonical direct base
     of a family or bare operator) is a nonredundant family of full
-    implications A -> c(A); closing each premise under the other
-    implications gives the pseudoclosed sets (Day 1992). Only the stem
-    search behind the canonical direct base has a size limit.
+    implications A -> c(A); closing each premise under the others, by
+    ``_leave_one_out``, gives the pseudoclosed sets (Day 1992). Only the
+    stem search behind the canonical direct base has a size limit.
     """
     base = source if isinstance(source, ImplicationSet) else canonical_direct(source)
-    pairs = shock_minimize(base).mask_pairs()
-    out = []
-    for i, (prem, conc) in enumerate(pairs):
-        # leave rule i out: an empty rule (0, 0) never adds anything
-        pairs[i] = (0, 0)
-        out.append((_close_rowwise(pairs, prem), conc))
-        pairs[i] = (prem, conc)
-    return out
+    minimum = shock_minimize(base)
+    return [(closed, minimum.items[i].conclusion.mask) for i, closed in _leave_one_out(minimum)]
 
 
 def pseudoclosed_sets(source: ClosureSource) -> PseudoclosedReport:
@@ -44,8 +59,8 @@ def pseudoclosed_sets(source: ClosureSource) -> PseudoclosedReport:
     minimum base, polynomial in the size of an implication source."""
     u = source_universe(source)
     found = _gd_pairs(source)
-    pseudo = SetFamily(u, tuple(AttrSet(u, p) for p, _ in found)).canonical()
-    essential = SetFamily(u, tuple(AttrSet(u, cl) for _, cl in found)).canonical()
+    pseudo = SetFamily.from_masks(u, [p for p, _ in found])
+    essential = SetFamily.from_masks(u, [cl for _, cl in found])
     return PseudoclosedReport(pseudoclosed=pseudo, essential_closures=essential)
 
 
@@ -62,16 +77,8 @@ def remove_redundancy(sigma: ImplicationSet) -> ImplicationSet:
     When an earlier and a later implication are interchangeable the earlier
     one is dropped; the survivors keep their input order.
     """
-    pairs = sigma.mask_pairs()
-    kept = []
-    for i, imp in enumerate(sigma):
-        prem, conc = pairs[i]
-        # leave rule i out: an empty rule (0, 0) never adds anything
-        pairs[i] = (0, 0)
-        if conc & ~_close_rowwise(pairs, prem):
-            pairs[i] = (prem, conc)
-            kept.append(imp)
-    return ImplicationSet(sigma.universe, tuple(kept))
+    kept = tuple(sigma.items[i] for i, _ in _leave_one_out(sigma))
+    return ImplicationSet(sigma.universe, kept)
 
 
 def trim_conclusions(sigma: ImplicationSet) -> ImplicationSet:

@@ -198,8 +198,8 @@ def _cmd_stems(args, universe, source) -> Iterator[str]:
 def _cmd_dualize(args, universe, source) -> Iterator[str]:
     if args.cmax_of is not None:
         # cmax(F,e): the complements of max(F,e), with no stem-search limit
-        maxes = dualize.max_noncovers(source, _element(args.cmax_of, universe))
-        yield SetFamily(universe, tuple(s.complement() for s in maxes)).canonical().render()
+        maxes = dualize.max_noncovers(source, _element(args.cmax_of, universe)).masks()
+        yield SetFamily.from_masks(universe, [universe.full_mask & ~m for m in maxes]).render()
     elif isinstance(source, SetFamily):
         yield dualize.minimal_transversals(source).render()
     else:
@@ -222,8 +222,7 @@ def _cmd_enumerate(args, universe, source) -> Iterator[str]:
         return
     h = _horn_system(args, universe, source)
     if args.materialize:
-        members = rows.enumerate_horn(h).members()
-        yield SetFamily(universe, tuple(members)).canonical().render()
+        yield SetFamily.from_masks(universe, rows.enumerate_horn(h).member_masks()).render()
         return
     # the rows are printed from their plain tuples; row_lines checks each
     found = closure.model_rows(h.sigma, h.gamma.masks())

@@ -2,7 +2,9 @@
 semantic consequence, and every engine that lists closed sets: the 012n
 row engine (the closed sets of Σ, or the models of Σ plus complications,
 as disjoint rows) and the lectic listings read off those rows or made by
-NextClosure.
+NextClosure. LinClosure gives every closure of an implication family; the
+row-wise rounds serve ``step``, ``is_closed``, ``close_trace`` and the
+"row" cross-check.
 
 This module imports only ``core`` and ``errors``. ``rows`` wraps the row
 engine in its public ``Row012n``/``RowSystem`` values, and ``dualize``
@@ -30,6 +32,7 @@ from .errors import BoundExceededError, UniverseMismatchError
 ClosureSource = Union[ImplicationSet, SetFamily, "Closure"]
 
 Pairs = list[tuple[int, int]]
+Columns = tuple[list[list[int]], list[int], list[int], int]
 
 
 def _rounds(pairs: Pairs, mask: int) -> Iterator[int]:
@@ -57,11 +60,9 @@ def _close_rowwise(pairs: Pairs, mask: int) -> int:
     return mask
 
 
-def _close_columnwise(
-    occ: list[list[int]], need: list[int], concs: list[int], axioms: int, mask: int
-) -> int:
+def _close_columnwise(cols: Columns, stop: int, mask: int) -> int:
     """Least fixpoint in the vertical layout, by LinClosure (Beeri and
-    Bernstein 1979).
+    Bernstein 1979), or a set inside it that holds stop.
 
     occ[p] lists the rules whose premise contains position p, and need[i]
     counts the premise positions of rule i; axioms unites the conclusions
@@ -69,12 +70,16 @@ def _close_columnwise(
     position is visited once, when its layer is taken: a rule fires when
     its last premise position is visited. The conclusions of the rules
     that fire in a layer are united into one mask, and its positions not
-    yet closed make the next layer.
+    yet closed make the next layer. The loop returns before a layer once
+    the set holds stop; cols is (occ, need, concs, axioms).
     """
+    occ, need, concs, axioms = cols
     left = need.copy()
     closed = mask | axioms
     todo = closed
     while todo:
+        if closed & stop == stop:
+            return closed
         new = 0
         while todo:
             low = todo & -todo
@@ -88,7 +93,8 @@ def _close_columnwise(
     return closed
 
 
-def _compile_columnwise(sigma: ImplicationSet) -> Callable[[int], int]:
+def _columns(sigma: ImplicationSet) -> Columns:
+    """The compiled rules that ``_close_columnwise`` reads."""
     pairs = sigma.mask_pairs()
     occ: list[list[int]] = [[] for _ in range(sigma.universe.size)]
     axioms = 0
@@ -99,7 +105,7 @@ def _compile_columnwise(sigma: ImplicationSet) -> Callable[[int], int]:
             occ[p].append(i)
     need = [prem.bit_count() for prem, _ in pairs]
     concs = [conc for _, conc in pairs]
-    return partial(_close_columnwise, occ, need, concs, axioms)
+    return occ, need, concs, axioms
 
 
 def _close_family(full: int, every: int, cols: list[int], mask: int) -> int:
@@ -142,7 +148,7 @@ def _compile_family(family: SetFamily) -> Callable[[int], int]:
 
 _COMPILERS: dict[str, Callable[..., Callable[[int], int]]] = {
     "row": lambda sigma: partial(_close_rowwise, sigma.mask_pairs()),
-    "column": _compile_columnwise,
+    "column": lambda sigma: partial(_close_columnwise, _columns(sigma), sigma.universe.full_mask),
     "family": _compile_family,
 }
 
@@ -194,9 +200,9 @@ class Closure:
     def from_sigma(cls, sigma: ImplicationSet, layout: str = "column") -> Closure:
         """Closure under sigma, evaluated column-wise by LinClosure
         ("column", the default: a query touches only the rules whose
-        premises meet the positions it adds, and unites the conclusions
-        that fire in one layer into one mask) or row-wise ("row"). Both
-        give the same sets; ValueError on any other layout."""
+        premises meet the positions it adds, unites the conclusions that
+        fire in one layer into one mask, and stops at E) or row-wise ("row",
+        the cross-check). Both give the same sets; ValueError otherwise."""
         if layout not in ("row", "column"):
             raise ValueError(f"unknown layout {layout!r}")
         return cls(sigma.universe, _kernel(sigma, layout))

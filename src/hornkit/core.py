@@ -162,21 +162,17 @@ class Universe:
         ``str.translate`` writes the symbols: a row costs a few big-int
         steps per mask, not a step per position.
 
-        Every row is checked here, so every printed row is: InvariantError
-        unless its masks partition the universe (they cover it, and their
-        sizes add up to its size) and each bubble has two positions or more.
+        Every printed row passes ``check_row``.
         """
         lanes = self._lanes
         if lanes is None:
             lanes = self._lanes = _row_lanes(self.size)
         fmt, enc, dec, nbytes, zero, table = lanes
-        n = self.size
-        full = self.full_mask
         spread = int.from_bytes
         lines = []
-        for ones, zeros, free, bubbles in rows:
-            acc = ones | zeros | free
-            size = ones.bit_count() + zeros.bit_count() + free.bit_count()
+        for row in rows:
+            self.check_row(row)
+            ones, _, free, bubbles = row
             # each spread also puts the character "0" in every lane; those
             # characters, weight of them per lane, come off at the end
             code = spread(format(ones, fmt).encode(enc), "big") + 2 * spread(
@@ -184,18 +180,27 @@ class Universe:
             )
             weight = 3
             for c, b in enumerate(bubbles, 3):
-                k = b.bit_count()
-                if k < 2:
-                    raise InvariantError("a bubble needs at least two positions")
-                acc |= b
-                size += k
                 code += c * spread(format(b, fmt).encode(enc), "big")
                 weight += c
-            if acc != full or size != n:
-                raise InvariantError("row masks do not partition the universe")
             text = (code - weight * zero).to_bytes(nbytes, "little").decode(dec, "surrogatepass")
             lines.append(text.translate(table)[:-1])
         return "\n".join(lines)
+
+    def check_row(self, row: tuple[int, int, int, tuple[int, ...]]) -> None:
+        """InvariantError unless the masks of the 012n row ``(ones, zeros,
+        free, bubbles)`` partition the universe (they cover it, and their sizes
+        add up to its size only when no two overlap) and no bubble is a singleton."""
+        ones, zeros, free, bubbles = row
+        acc = ones | zeros | free
+        size = ones.bit_count() + zeros.bit_count() + free.bit_count()
+        for b in bubbles:
+            k = b.bit_count()
+            if k < 2:
+                raise InvariantError("a bubble needs at least two positions")
+            acc |= b
+            size += k
+        if acc != self.full_mask or size != self.size:
+            raise InvariantError("row masks do not partition the universe")
 
     # -- set construction -------------------------------------------------
 
@@ -421,22 +426,19 @@ class SetFamily:
                     return False
         return True
 
-    def canonical(self) -> SetFamily:
-        """Deduplicate and sort by cardinality, then lexicographically."""
-        uniq = {s.mask: s for s in self.sets}
-        return SetFamily(self.universe, tuple(sorted(uniq.values(), key=AttrSet.key)))
+    @classmethod
+    def from_masks(cls, universe: Universe, masks: Iterable[int]) -> SetFamily:
+        """The family of the distinct masks, sorted by ``AttrSet.key``."""
+        sets = sorted([AttrSet(universe, m) for m in set(masks)], key=AttrSet.key)
+        return cls(universe, tuple(sets))
 
     def minimize(self) -> SetFamily:
         """Keep inclusion-minimal members only (canonical order)."""
-        return self._from_masks(extreme_masks(self.masks()))
+        return SetFamily.from_masks(self.universe, extreme_masks(self.masks()))
 
     def maximize(self) -> SetFamily:
         """Keep inclusion-maximal members only (canonical order)."""
-        return self._from_masks(extreme_masks(self.masks(), maximal=True))
-
-    def _from_masks(self, masks: list[int]) -> SetFamily:
-        u = self.universe
-        return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
+        return SetFamily.from_masks(self.universe, extreme_masks(self.masks(), maximal=True))
 
     def render(self) -> str:
         return self.universe.lines(self.masks())

@@ -65,7 +65,7 @@ def minimal_transversals(h: SetFamily) -> SetFamily:
     if 0 in edges:
         return SetFamily(u, ())
     trs = _transversal_masks(edges)
-    return SetFamily(u, tuple(AttrSet(u, m) for m in trs)).canonical()
+    return SetFamily.from_masks(u, trs)
 
 
 ClosedSource = Union[ImplicationSet, SetFamily]
@@ -134,7 +134,7 @@ class StemTable:
             ms = _stem_masks(tops, e, u.full_mask)
             for m in ms:
                 roots_by_stem[m] = roots_by_stem.get(m, 0) | 1 << e
-            stems_of[e] = SetFamily(u, tuple(AttrSet(u, m) for m in ms)).canonical()
+            stems_of[e] = SetFamily.from_masks(u, ms)
         roots_of = {
             AttrSet(u, m): AttrSet(u, r)
             for m, r in sorted(
@@ -154,8 +154,7 @@ def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
     u = source_universe(source)
     if not 0 <= e < u.size:
         raise UniverseMismatchError(f"element position {e} outside universe")
-    out = _max_avoiding(_row_tops(source), e)
-    return SetFamily(u, tuple(AttrSet(u, m) for m in out)).canonical()
+    return SetFamily.from_masks(u, _max_avoiding(_row_tops(source), e))
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,11 +172,9 @@ def max_noncover_table(source: ClosedSource) -> MaxNonCover:
     max_of: dict[int, SetFamily] = {}
     cmax_of: dict[int, SetFamily] = {}
     for e in range(u.size):
-        fam = SetFamily(
-            u, tuple(AttrSet(u, m) for m in _max_avoiding(tops, e))
-        ).canonical()
-        max_of[e] = fam
-        cmax_of[e] = SetFamily(u, tuple(s.complement() for s in fam)).canonical()
+        maxes = _max_avoiding(tops, e)
+        max_of[e] = SetFamily.from_masks(u, maxes)
+        cmax_of[e] = SetFamily.from_masks(u, [u.full_mask & ~m for m in maxes])
     return MaxNonCover(universe=u, max_of=max_of, cmax_of=cmax_of)
 
 
@@ -189,7 +186,7 @@ def meet_irreducibles(source: ClosedSource) -> SetFamily:
     masks: set[int] = set()
     for e in range(u.size):
         masks.update(_max_avoiding(tops, e))
-    return SetFamily(u, tuple(AttrSet(u, m) for m in masks)).canonical()
+    return SetFamily.from_masks(u, masks)
 
 
 def stems_from_meetirr(m: SetFamily, e: int) -> SetFamily:
@@ -200,8 +197,7 @@ def stems_from_meetirr(m: SetFamily, e: int) -> SetFamily:
     u = m.universe
     if not 0 <= e < u.size:
         raise UniverseMismatchError(f"element position {e} outside universe")
-    ms = _stem_masks(_row_tops(m), e, u.full_mask)
-    return SetFamily(u, tuple(AttrSet(u, s) for s in ms)).canonical()
+    return SetFamily.from_masks(u, _stem_masks(_row_tops(m), e, u.full_mask))
 
 
 def cmax_from_stems(table: StemTable, e: int) -> SetFamily:

@@ -31,7 +31,7 @@ from .core import (
     Universe,
     submasks,
 )
-from .errors import InvariantError, UniverseMismatchError
+from .errors import UniverseMismatchError
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,18 +49,7 @@ class Row012n:
     bubbles: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # the parts cover the universe, and their sizes add up to its size
-        # only when no two of them overlap
-        acc = self.ones | self.zeros | self.free
-        size = self.ones.bit_count() + self.zeros.bit_count() + self.free.bit_count()
-        for b in self.bubbles:
-            k = b.bit_count()
-            if k < 2:
-                raise InvariantError("a bubble needs at least two positions")
-            acc |= b
-            size += k
-        if acc != self.universe.full_mask or size != self.universe.size:
-            raise InvariantError("row masks do not partition the universe")
+        self.universe.check_row(self._tuple())
 
     def count(self) -> int:
         """Number of subsets: a k-position bubble contributes 2^k - 1."""

@@ -197,6 +197,31 @@ def brute_closed_masks(n: int, sigma: ImplicationSet) -> list[int]:
     return out
 
 
+def naive_fixpoint(pairs: list[tuple[int, int]], mask: int) -> int:
+    """Fire any applicable rule that adds something until none does."""
+    changed = True
+    while changed:
+        changed = False
+        for prem, conc in pairs:
+            if prem & ~mask == 0 and conc & ~mask:
+                mask |= conc
+                changed = True
+    return mask
+
+
+def brute_redundancy_survivors(pairs: list[tuple[int, int]]) -> list[int]:
+    """The indices of the rules that left-to-right redundancy removal
+    keeps, by its definition: rule i goes when ``naive_fixpoint`` closes
+    its premise, under the other rules not yet dropped, to a set holding
+    its conclusion."""
+    live = list(range(len(pairs)))
+    for i, (prem, conc) in enumerate(pairs):
+        others = [pairs[j] for j in live if j != i]
+        if not conc & ~naive_fixpoint(others, prem):
+            live.remove(i)
+    return live
+
+
 def oracle_close(closed: list[int], full: int, m: int) -> int:
     """Closure as the intersection of the closed supersets of m."""
     acc = full

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hornkit import (
@@ -29,12 +31,14 @@ from conftest import (
     brute_closed_masks,
     brute_family_closed,
     brute_pseudoclosed,
+    brute_redundancy_survivors,
     fam,
     imp,
     oracle_close,
     padded_mf_text,
     pairs,
     rand_family,
+    rand_mask,
     rand_sigma,
     rng_for,
     sig,
@@ -258,6 +262,48 @@ class TestRemoveRedundancy:
         # seen while 3 4 -> 6 is still present, so it goes too
         got = remove_redundancy(ACYC7)
         assert pairs(got) == pairs(sig(U6, "4 -> 5", "6 -> 1", "2 3 -> 4", "3 5 -> 6"))
+
+    def test_repeated_axiom_keeps_the_second(self):
+        # the first -> 1 goes, since the second derives 1; the second
+        # stays, since the first is out, axioms included
+        s = sig(uni(2), "-> 1", "-> 1")
+        got = remove_redundancy(s)
+        assert len(got) == 1 and got.items[0] is s.items[1]
+
+    def test_dropped_axiom_stays_out(self):
+        s = sig(uni(2), "-> 1", "1 -> 2", "-> 1 2")
+        assert remove_redundancy(s).items == (s.items[2],)
+
+    def test_matches_leave_one_out_oracle(self):
+        special = ("empty premise", "repeat", "(0, 0)", "inside premise")
+        seen = Counter()
+        for case in range(300):
+            rng = rng_for(10500 + case)
+            n = rng.randint(1, 8)
+            u = uni(n)
+            pairs = []
+            for _ in range(rng.randint(0, 3 * n)):
+                kind = rng.choice(special + ("random", "random"))
+                if kind == "repeat" and not pairs:
+                    kind = "random"
+                prem = rand_mask(rng, n)
+                conc = rand_mask(rng, n)
+                if kind == "empty premise":
+                    prem = 0
+                elif kind == "repeat":
+                    prem, conc = rng.choice(pairs)
+                elif kind == "(0, 0)":
+                    prem = conc = 0
+                elif kind == "inside premise":
+                    conc &= prem
+                seen[kind] += 1
+                pairs.append((prem, conc))
+            items = tuple(Implication(u.from_mask(p), u.from_mask(c)) for p, c in pairs)
+            # one Implication object per rule, so identity tells repeats apart
+            index = {id(x): i for i, x in enumerate(items)}
+            got = [index[id(x)] for x in remove_redundancy(ImplicationSet(u, items))]
+            assert got == brute_redundancy_survivors(pairs)
+        assert min(seen[k] for k in special) >= 100
 
     def test_contract_equivalent_and_nonredundant(self):
         for case in range(20):

@@ -30,7 +30,7 @@ from hornkit import (
     stem_table,
     step,
 )
-from hornkit.closure import lectic_masks
+from hornkit.closure import _close_columnwise, _columns, lectic_masks
 
 from conftest import (
     EQ15,
@@ -44,6 +44,7 @@ from conftest import (
     brute_family_closed,
     fam,
     imp,
+    naive_fixpoint,
     oracle_close,
     rand_family,
     rand_mask,
@@ -117,18 +118,6 @@ class TestClose:
                 assert c.of_mask(m) == oracle_close(closed, u.full_mask, m)
 
 
-def naive_fixpoint(pairs: list[tuple[int, int]], mask: int) -> int:
-    """Fire any applicable rule that adds something until none does."""
-    changed = True
-    while changed:
-        changed = False
-        for prem, conc in pairs:
-            if prem & ~mask == 0 and conc & ~mask:
-                mask |= conc
-                changed = True
-    return mask
-
-
 class TestWideKernels:
     """Both kernels on universes of hundreds or thousands of positions,
     where LinClosure runs many layers or fills E in one, against a naive
@@ -144,10 +133,17 @@ class TestWideKernels:
         row = Closure.from_sigma(s, "row")
         column = Closure.from_sigma(s, "column")
         pairs = s.mask_pairs()
+        n = s.universe.size
+        cols = _columns(s)
         got = []
         for m in queries:
             want = naive_fixpoint(pairs, m)
-            assert column.of_mask(m) == row.of_mask(m) == want
+            # LinClosure stopped at E, as Closure compiles it, and run to
+            # the end under a stop mask outside the universe, which no set
+            # holds
+            stopped = _close_columnwise(cols, s.universe.full_mask, m)
+            whole = _close_columnwise(cols, 1 << n, m)
+            assert column.of_mask(m) == stopped == whole == row.of_mask(m) == want
             got.append(want)
         return got
 
