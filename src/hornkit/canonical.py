@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .closure import Closure, ClosureSource, _close_columnwise, _columns, source_universe
-from .core import AttrSet, Implication, ImplicationSet, SetFamily, normalize
+from .core import ImplicationSet, SetFamily, normalize
 from .direct import canonical_direct
 
 
@@ -51,7 +51,8 @@ def _gd_pairs(source: ClosureSource) -> list[tuple[int, int]]:
     """
     base = source if isinstance(source, ImplicationSet) else canonical_direct(source)
     minimum = shock_minimize(base)
-    return [(closed, minimum.items[i].conclusion.mask) for i, closed in _leave_one_out(minimum)]
+    pairs = minimum.mask_pairs()
+    return [(closed, pairs[i][1]) for i, closed in _leave_one_out(minimum)]
 
 
 def pseudoclosed_sets(source: ClosureSource) -> PseudoclosedReport:
@@ -66,9 +67,7 @@ def pseudoclosed_sets(source: ClosureSource) -> PseudoclosedReport:
 
 def gd_base(source: ClosureSource) -> ImplicationSet:
     """The canonical (Guigues-Duquenne) base {P -> c(P) : P pseudoclosed}."""
-    u = source_universe(source)
-    items = tuple(Implication(AttrSet(u, p), AttrSet(u, cl)) for p, cl in _gd_pairs(source))
-    return ImplicationSet(u, items).sorted()
+    return ImplicationSet.from_pairs(source_universe(source), _gd_pairs(source)).sorted()
 
 
 def remove_redundancy(sigma: ImplicationSet) -> ImplicationSet:
@@ -83,13 +82,8 @@ def remove_redundancy(sigma: ImplicationSet) -> ImplicationSet:
 
 def trim_conclusions(sigma: ImplicationSet) -> ImplicationSet:
     """Shorten each A -> B to A -> B \\ A (drops implications that become empty)."""
-    u = sigma.universe
-    items = []
-    for imp in sigma:
-        rest = imp.conclusion - imp.premise
-        if rest.mask:
-            items.append(Implication(imp.premise, rest))
-    return ImplicationSet(u, tuple(items))
+    trimmed = [(p, c & ~p) for p, c in sigma.mask_pairs() if c & ~p]
+    return ImplicationSet.from_pairs(sigma.universe, trimmed)
 
 
 def shock_minimize(sigma: ImplicationSet) -> ImplicationSet:
@@ -99,20 +93,10 @@ def shock_minimize(sigma: ImplicationSet) -> ImplicationSet:
     a redundancy pass leaves a nonredundant family of full implications,
     which is minimum.
     """
-    u = sigma.universe
     c = Closure.from_sigma(sigma)
-    fulls: list[Implication] = []
-    seen: set[int] = set()
-    for imp in sigma:
-        p = imp.premise.mask
-        if p in seen:
-            continue
-        seen.add(p)
-        cl = c.of_mask(p)
-        if cl == p:
-            continue
-        fulls.append(Implication(imp.premise, AttrSet(u, cl)))
-    return remove_redundancy(ImplicationSet(u, tuple(fulls)))
+    closure_of = {p: c.of_mask(p) for p in dict.fromkeys(p for p, _ in sigma.mask_pairs())}
+    fulls = [(p, cl) for p, cl in closure_of.items() if cl != p]
+    return remove_redundancy(ImplicationSet.from_pairs(sigma.universe, fulls))
 
 
 def is_minimum(sigma: ImplicationSet) -> bool:

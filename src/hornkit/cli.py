@@ -222,7 +222,8 @@ def _cmd_enumerate(args, universe, source) -> Iterator[str]:
         return
     h = _horn_system(args, universe, source)
     if args.materialize:
-        yield SetFamily.from_masks(universe, rows.enumerate_horn(h).member_masks()).render()
+        models = closure.lectic_masks(h.sigma, h.gamma.masks())
+        yield SetFamily.from_masks(universe, models).render()
         return
     # the rows are printed from their plain tuples; row_lines checks each
     found = closure.model_rows(h.sigma, h.gamma.masks())

@@ -289,13 +289,9 @@ def equivalent(sigma1: ImplicationSet, sigma2: ImplicationSet) -> bool:
     """True iff the two families induce the same closure operator."""
     if sigma1.universe != sigma2.universe:
         raise UniverseMismatchError("families in different universes")
-    c1 = Closure.from_sigma(sigma1)
-    c2 = Closure.from_sigma(sigma2)
-    for imp in sigma2:
-        if imp.conclusion.mask & ~c1.of_mask(imp.premise.mask):
-            return False
-    for imp in sigma1:
-        if imp.conclusion.mask & ~c2.of_mask(imp.premise.mask):
+    for rules, other in ((sigma2, sigma1), (sigma1, sigma2)):
+        c = Closure.from_sigma(other)
+        if any(conc & ~c.of_mask(p) for p, conc in rules.mask_pairs()):
             return False
     return True
 

@@ -81,8 +81,12 @@ class Universe:
         for pos, lab in enumerate(labels):
             # sets render as labels one space apart, so a label must be one
             # nonempty word; "-" is the empty set, "->" splits implication
-            # lines, "#" starts a comment
-            if lab.split() != [lab] or lab == "-" or "->" in lab or "#" in lab:
+            # lines, "#" starts a comment, and a line that starts with the
+            # header is read as a header
+            if (
+                lab.split() != [lab] or lab == "-" or "->" in lab or "#" in lab
+                or lab.startswith(_HEADER)
+            ):
                 raise ParseError(f"illegal label {lab!r}")
             if lab in index:
                 raise ParseError(f"duplicate label {lab!r}")
@@ -373,14 +377,23 @@ class ImplicationSet:
     def __iter__(self) -> Iterator[Implication]:
         return iter(self.items)
 
+    @classmethod
+    def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> ImplicationSet:
+        """The rules of the ``(premise, conclusion)`` mask pairs, in the
+        given order: the inverse of ``mask_pairs``."""
+        return cls(universe, tuple(
+            Implication(AttrSet(universe, p), AttrSet(universe, c)) for p, c in pairs
+        ))
+
     def mask_pairs(self) -> list[tuple[int, int]]:
+        """The ``(premise, conclusion)`` mask pair of each rule, in order."""
         return [(imp.premise.mask, imp.conclusion.mask) for imp in self.items]
 
     def sorted(self) -> ImplicationSet:
         return ImplicationSet(self.universe, tuple(sorted(self.items, key=Implication.key)))
 
     def as_pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i.premise.mask, i.conclusion.mask) for i in self.items)
+        return frozenset(self.mask_pairs())
 
     def render(self) -> str:
         return "\n".join(imp.render() for imp in self.items)
@@ -528,9 +541,10 @@ def load_family(text: str) -> tuple[Universe, SetFamily]:
 
 def measures(sigma: ImplicationSet) -> MeasureReport:
     """ca / s / lhs / rhs counts of a family, exactly as given."""
-    lhs = sum(len(imp.premise) for imp in sigma)
-    rhs = sum(len(imp.conclusion) for imp in sigma)
-    return MeasureReport(ca=len(sigma), s=lhs + rhs, lhs=lhs, rhs=rhs)
+    pairs = sigma.mask_pairs()
+    lhs = sum(p.bit_count() for p, _ in pairs)
+    rhs = sum(c.bit_count() for _, c in pairs)
+    return MeasureReport(ca=len(pairs), s=lhs + rhs, lhs=lhs, rhs=rhs)
 
 
 def unit_expand(sigma: ImplicationSet) -> ImplicationSet:
@@ -538,37 +552,21 @@ def unit_expand(sigma: ImplicationSet) -> ImplicationSet:
 
     Implications with empty conclusion vanish.
     """
-    u = sigma.universe
-    items = []
-    for imp in sigma:
-        for pos in imp.conclusion:
-            items.append(Implication(imp.premise, AttrSet(u, 1 << pos)))
-    return ImplicationSet(u, tuple(items))
+    units = [(p, 1 << e) for p, c in sigma.mask_pairs() for e in bits(c)]
+    return ImplicationSet.from_pairs(sigma.universe, units)
 
 
 def aggregate(sigma: ImplicationSet) -> ImplicationSet:
-    """Merge implications with identical premises by uniting conclusions."""
-    u = sigma.universe
+    """Merge implications with identical premises by uniting conclusions,
+    in the order the premises first occur."""
     merged: dict[int, int] = {}
-    for imp in sigma:
-        p = imp.premise.mask
-        merged[p] = merged.get(p, 0) | imp.conclusion.mask
-    items = tuple(
-        Implication(AttrSet(u, p), AttrSet(u, c)) for p, c in merged.items()
-    )
-    return ImplicationSet(u, items)
+    for p, c in sigma.mask_pairs():
+        merged[p] = merged.get(p, 0) | c
+    return ImplicationSet.from_pairs(sigma.universe, merged.items())
 
 
 def normalize(sigma: ImplicationSet) -> ImplicationSet:
-    """Drop tautologies (conclusion inside premise) and exact duplicates."""
-    seen = set()
-    items = []
-    for imp in sigma:
-        if imp.is_tautology():
-            continue
-        pair = (imp.premise.mask, imp.conclusion.mask)
-        if pair in seen:
-            continue
-        seen.add(pair)
-        items.append(imp)
-    return ImplicationSet(sigma.universe, tuple(items))
+    """Drop tautologies (conclusion inside premise) and exact duplicates;
+    the first occurrence of each rule stays, in order."""
+    kept = dict.fromkeys((p, c) for p, c in sigma.mask_pairs() if c & ~p)
+    return ImplicationSet.from_pairs(sigma.universe, kept)

@@ -28,8 +28,8 @@ def _search_ground(source: ClosureSource) -> int:
     # elements never occurring in a premise are inert, so stems avoid them
     if isinstance(source, ImplicationSet):
         ground = 0
-        for imp in source:
-            ground |= imp.premise.mask
+        for p, _ in source.mask_pairs():
+            ground |= p
         return ground
     return source_universe(source).full_mask
 

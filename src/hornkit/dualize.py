@@ -135,12 +135,8 @@ class StemTable:
             for m in ms:
                 roots_by_stem[m] = roots_by_stem.get(m, 0) | 1 << e
             stems_of[e] = SetFamily.from_masks(u, ms)
-        roots_of = {
-            AttrSet(u, m): AttrSet(u, r)
-            for m, r in sorted(
-                roots_by_stem.items(), key=lambda kv: AttrSet(u, kv[0]).key()
-            )
-        }
+        stems = SetFamily.from_masks(u, roots_by_stem)
+        roots_of = {s: AttrSet(u, roots_by_stem[s.mask]) for s in stems}
         return cls(universe=u, stems_of=stems_of, roots_of=roots_of)
 
 

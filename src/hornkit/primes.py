@@ -137,13 +137,9 @@ def unit_primes(sigma: ImplicationSet) -> ImplicationSet:
     stem and each of its roots, the clauses consensus_closure would reach
     from sigma's, in the same order.
     """
-    u = sigma.universe
-    table = StemTable.of(sigma)
-    items = tuple(
-        Implication(stem, AttrSet(u, 1 << e))
-        for stem, roots in table.roots_of.items() for e in roots
-    )
-    return ImplicationSet(u, items).sorted()
+    roots_of = StemTable.of(sigma).roots_of
+    units = [(stem.mask, 1 << e) for stem, roots in roots_of.items() for e in roots]
+    return ImplicationSet.from_pairs(sigma.universe, units).sorted()
 
 
 def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .canonical import shock_minimize
 from .closure import (
@@ -221,8 +221,6 @@ def near_minimum_base(h: HornSystem) -> HornSystem:
     u = h.universe
     if not h.gamma.sets:
         return HornSystem(shock_minimize(h.sigma), SetFamily(u, ()))
-    full = u.full()
-    lift = tuple(Implication(aset, full) for aset in h.gamma)
-    base_bottom = ImplicationSet(u, h.sigma.items + lift)
-    sigma0 = shock_minimize(base_bottom)
-    return HornSystem(sigma0, SetFamily(u, (full,)))
+    lift = [(m, u.full_mask) for m in h.gamma.masks()]
+    sigma0 = shock_minimize(ImplicationSet.from_pairs(u, h.sigma.mask_pairs() + lift))
+    return HornSystem(sigma0, SetFamily(u, (u.full(),)))

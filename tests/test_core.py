@@ -1,5 +1,6 @@
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -20,12 +21,24 @@ from hornkit import (
     parse_family,
     parse_implications,
     parse_universe,
+    trim_conclusions,
     unit_expand,
 )
 from hornkit.closure import Closure
 from hornkit.core import bits, set_text
 
-from conftest import EQ27_CD, EQ38, aset, imp, pairs, rng_for, rand_sigma, sig, uni
+from conftest import (
+    EQ27_CD,
+    EQ38,
+    aset,
+    imp,
+    pairs,
+    rand_mask,
+    rand_sigma,
+    rng_for,
+    sig,
+    uni,
+)
 
 
 class TestParsing:
@@ -55,7 +68,8 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_universe("elements: a ->")
         # "a b" would render as two labels that parse_set cannot read back
-        for lab in ("a b", "", " a", "a\t", "a\nb"):
+        # a content line that starts with the header is read as a second one
+        for lab in ("a b", "", " a", "a\t", "a\nb", "elements:", "elements:x"):
             with pytest.raises(ParseError, match="illegal label"):
                 Universe([lab, "c"])
 
@@ -280,6 +294,78 @@ class TestNormalize:
         u = uni(3)
         s = sig(u, "2 -> 3", "1 -> 2", "2 -> 3")
         assert [i.render() for i in normalize(s)] == ["2 -> 3", "1 -> 2"]
+
+
+class TestMaskPairHelpers:
+    """The mask-pair helpers against definitions written out here, order
+    included, on seeded theories with every corner case."""
+
+    KINDS = ("empty premise", "empty conclusion", "tautology", "repeat")
+
+    def theories(self):
+        seen = Counter()
+        for case in range(300):
+            rng = rng_for(19000 + case)
+            n = rng.randint(1, 10)
+            u = uni(n)
+            ps = []
+            for _ in range(rng.randint(0, 3 * n)):
+                kind = rng.choice(self.KINDS + ("random", "random"))
+                if kind == "repeat" and not ps:
+                    kind = "random"
+                prem, conc = rand_mask(rng, n), rand_mask(rng, n)
+                if kind == "empty premise":
+                    prem = 0
+                elif kind == "empty conclusion":
+                    conc = 0
+                elif kind == "tautology":
+                    conc &= prem
+                elif kind == "repeat":
+                    prem, conc = rng.choice(ps)
+                seen[kind] += 1
+                ps.append((prem, conc))
+            items = tuple(Implication(u.from_mask(p), u.from_mask(c)) for p, c in ps)
+            yield u, ps, ImplicationSet(u, items)
+        assert min(seen[k] for k in self.KINDS) >= 100
+
+    def test_from_pairs_inverts_mask_pairs(self):
+        for u, ps, s in self.theories():
+            assert s.mask_pairs() == ps
+            back = ImplicationSet.from_pairs(u, ps)
+            assert back == s and hash(back) == hash(s)
+            assert back.as_pair_set() == frozenset(ps)
+
+    def test_from_pairs_checks_the_universe(self):
+        with pytest.raises(UniverseMismatchError):
+            ImplicationSet.from_pairs(uni(2), [(0b100, 0)])
+
+    def test_helpers_match_definitions(self):
+        for u, ps, s in self.theories():
+            units = [(p, 1 << e) for p, c in ps for e in range(u.size) if c >> e & 1]
+            assert unit_expand(s).mask_pairs() == units
+            premises = []
+            for p, _ in ps:
+                if p not in premises:
+                    premises.append(p)
+            merged = []
+            for p in premises:
+                conc = 0
+                for q, c in ps:
+                    if q == p:
+                        conc |= c
+                merged.append((p, conc))
+            assert aggregate(s).mask_pairs() == merged
+            firsts = []
+            for p, c in ps:
+                if c & ~p and (p, c) not in firsts:
+                    firsts.append((p, c))
+            assert normalize(s).mask_pairs() == firsts
+            trimmed = [(p, c & ~p) for p, c in ps if c & ~p]
+            assert trim_conclusions(s).mask_pairs() == trimmed
+            lhs = sum(bin(p).count("1") for p, _ in ps)
+            rhs = sum(bin(c).count("1") for _, c in ps)
+            m = measures(s)
+            assert (m.ca, m.s, m.lhs, m.rhs) == (len(ps), lhs + rhs, lhs, rhs)
 
 
 class TestExtremeMembers:
