@@ -62,7 +62,9 @@ def _close_rowwise(pairs: Pairs, mask: int) -> int:
 
 def _close_columnwise(cols: Columns, stop: int, mask: int) -> int:
     """Least fixpoint in the vertical layout, by LinClosure (Beeri and
-    Bernstein 1979), or a set inside it that holds stop.
+    Bernstein 1979), or a set inside it that holds stop: a membership
+    test, stop ⊆ c(mask), passes stop as the target and reads the answer
+    off ``stop & ~result == 0``; a closure passes stop = E.
 
     occ[p] lists the rules whose premise contains position p, and need[i]
     counts the premise positions of rule i; axioms unites the conclusions
@@ -146,15 +148,19 @@ def _compile_family(family: SetFamily) -> Callable[[int], int]:
     return partial(_close_family, family.universe.full_mask, every, cols)
 
 
-_COMPILERS: dict[str, Callable[..., Callable[[int], int]]] = {
+_COMPILERS: dict[str, Callable[..., Callable[..., int]]] = {
     "row": lambda sigma: partial(_close_rowwise, sigma.mask_pairs()),
-    "column": lambda sigma: partial(_close_columnwise, _columns(sigma), sigma.universe.full_mask),
+    # LinClosure compiled once, called as (stop, mask); the "column"
+    # kernel binds stop = E, and partial flattens the two into one call
+    "lin": lambda sigma: partial(_close_columnwise, _columns(sigma)),
+    "column": lambda sigma: partial(_kernel(sigma, "lin"), sigma.universe.full_mask),
     "family": _compile_family,
 }
 
 
-def _kernel(source: ImplicationSet | SetFamily, key: str) -> Callable[[int], int]:
-    """The source's closure kernel of kind key, compiled on first use.
+def _kernel(source: ImplicationSet | SetFamily, key: str) -> Callable[..., int]:
+    """The source's kernel of kind key, compiled on first use: a closure
+    mask -> mask, or for "lin" LinClosure as (stop, mask).
 
     The kernels live in a dict in the source's ``_compiled`` slot, so a
     family compiles once however many operators and queries are made from
@@ -202,7 +208,10 @@ class Closure:
         ("column", the default: a query touches only the rules whose
         premises meet the positions it adds, unites the conclusions that
         fire in one layer into one mask, and stops at E) or row-wise ("row",
-        the cross-check). Both give the same sets; ValueError otherwise."""
+        the cross-check). Both give the same sets; ValueError otherwise.
+        The column kernel shares its compiled rules with ``entails``,
+        ``equivalent`` and ``primes.is_prime_implicate``, so an operator made
+        after them compiles nothing new."""
         if layout not in ("row", "column"):
             raise ValueError(f"unknown layout {layout!r}")
         return cls(sigma.universe, _kernel(sigma, layout))
@@ -278,20 +287,25 @@ def is_closed(sigma: ImplicationSet, s: AttrSet) -> bool:
 
 
 def entails(sigma: ImplicationSet, query: Implication) -> bool:
-    """True iff the conclusion of query lies in the closure of its premise."""
+    """True iff the conclusion of query lies in the closure of its premise.
+
+    A membership test: LinClosure runs from the premise only until the
+    set holds the conclusion, and to the fixpoint when it never does.
+    """
     if query.universe != sigma.universe:
         raise UniverseMismatchError("implication and family in different universes")
-    cl = Closure.from_sigma(sigma).of_mask(query.premise.mask)
-    return query.conclusion.mask & ~cl == 0
+    target = query.conclusion.mask
+    return target & ~_kernel(sigma, "lin")(target, query.premise.mask) == 0
 
 
 def equivalent(sigma1: ImplicationSet, sigma2: ImplicationSet) -> bool:
-    """True iff the two families induce the same closure operator."""
+    """True iff the two families induce the same closure operator: each
+    entails every rule p -> c of the other, by LinClosure stopped at c."""
     if sigma1.universe != sigma2.universe:
         raise UniverseMismatchError("families in different universes")
     for rules, other in ((sigma2, sigma1), (sigma1, sigma2)):
-        c = Closure.from_sigma(other)
-        if any(conc & ~c.of_mask(p) for p, conc in rules.mask_pairs()):
+        lin = _kernel(other, "lin")
+        if any(conc & ~lin(conc, p) for p, conc in rules.mask_pairs()):
             return False
     return True
 

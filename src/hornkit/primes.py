@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import remove_redundancy
-from .closure import Closure
+from .closure import _kernel
 from .core import AttrSet, Implication, ImplicationSet, Universe, bits, unit_expand
 from .dualize import StemTable
 from .errors import HornkitError, NotAcyclicError, UniverseMismatchError
@@ -147,19 +147,21 @@ def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) 
 
     Dropping the positive literal of a pure Horn clause never leaves an
     implicate (E is always a model), so primality reduces to the premise
-    being minimal.
+    being minimal. Each check, of the premise and of the premise less one
+    element, runs sigma's shared LinClosure only until the positive
+    literal is in.
     """
     if isinstance(clause, Implication):
         clause = HornClause.from_implication(clause)
     if clause.positive is None:
         return False
-    c = Closure.from_sigma(sigma)
+    lin = _kernel(sigma, "lin")
     prem = clause.negatives.mask
     target = 1 << clause.positive
-    if not c.of_mask(prem) & target:
+    if not lin(target, prem) & target:
         return False
     for a in bits(prem):
-        if c.of_mask(prem & ~(1 << a)) & target:
+        if lin(target, prem & ~(1 << a)) & target:
             return False
     return True
 

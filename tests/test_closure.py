@@ -23,6 +23,7 @@ from hornkit import (
     equivalent,
     gd_base,
     is_closed,
+    is_prime_implicate,
     meet_irreducibles,
     minimal_keys,
     pseudoclosed_sets,
@@ -30,6 +31,7 @@ from hornkit import (
     stem_table,
     step,
 )
+import hornkit.closure as closure_module
 from hornkit.closure import _close_columnwise, _columns, lectic_masks
 
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     brute_closed_masks,
     brute_family_close,
     brute_family_closed,
+    brute_unit_primes,
     fam,
     imp,
     naive_fixpoint,
@@ -133,19 +136,69 @@ class TestWideKernels:
         row = Closure.from_sigma(s, "row")
         column = Closure.from_sigma(s, "column")
         pairs = s.mask_pairs()
-        n = s.universe.size
+        u = s.universe
+        n = u.size
         cols = _columns(s)
+        rng = rng_for(4100 + n)
         got = []
         for m in queries:
             want = naive_fixpoint(pairs, m)
             # LinClosure stopped at E, as Closure compiles it, and run to
             # the end under a stop mask outside the universe, which no set
             # holds
-            stopped = _close_columnwise(cols, s.universe.full_mask, m)
+            stopped = _close_columnwise(cols, u.full_mask, m)
             whole = _close_columnwise(cols, 1 << n, m)
             assert column.of_mask(m) == stopped == whole == row.of_mask(m) == want
+            # membership tests, as entails runs them: stopped at a random
+            # one-element target and at the empty one, the kernel returns
+            # a set between m and the closure, and the answer is the same
+            for target in (1 << rng.randrange(n), 0):
+                part = _close_columnwise(cols, target, m)
+                assert m & ~part == 0 and part & ~want == 0
+                answer = target & ~want == 0
+                assert (target & ~part == 0) == (target & ~stopped == 0) == answer
+                assert entails(s, Implication(u.from_mask(m), u.from_mask(target))) == answer
             got.append(want)
         return got
+
+    def test_stop_at_target_inside_premise(self):
+        n = 2000
+        s = self.theory(n, [(1 << i, 1 << (i + 1)) for i in range(n - 1)])
+        cols = _columns(s)
+        m = 1 << 5 | 1 << 900
+        # the premise holds the target: no layer is taken
+        assert _close_columnwise(cols, 1 << 900, m) == m
+        assert _close_columnwise(cols, 0, m) == m
+        u = s.universe
+        assert entails(s, Implication(u.from_mask(m), u.from_mask(1 << 900)))
+
+    def test_stop_at_target_from_empty_premises(self):
+        n = 600
+        axioms = 1 << 7 | 1 << 300
+        pairs = [(0, 1 << 7), (0, 1 << 300), (1 << 7, 1 << 599), (1 << 599, 1 << 598)]
+        s = self.theory(n, pairs)
+        cols = _columns(s)
+        u = s.universe
+        # position 1 meets no premise: only the axioms bring the target in,
+        # and the kernel returns before the first layer is taken
+        for m in (0, 1 << 1):
+            for target in (1 << 7, 1 << 300, axioms):
+                assert _close_columnwise(cols, target, m) == m | axioms
+                assert entails(s, Implication(u.from_mask(m), u.from_mask(target)))
+            assert _close_columnwise(cols, 1 << 599, m) == m | axioms | 1 << 599
+        assert self.check(s, [0, 1 << 1]) == [axioms | 3 << 598, 2 | axioms | 3 << 598]
+
+    def test_stop_at_unreachable_target(self):
+        n = 2000
+        s = self.theory(n, [(1 << i, 1 << (i + 1)) for i in range(n - 1)])
+        cols = _columns(s)
+        u = s.universe
+        tail = ((1 << n) - 1) ^ ((1 << 1000) - 1)
+        # the target is never reached, so the loop runs to the fixpoint
+        assert _close_columnwise(cols, 1 << 3, 1 << 1000) == tail
+        assert _close_columnwise(cols, 1 << 3 | 1 << 1999, 1 << 1000) == tail
+        assert not entails(s, Implication(u.from_mask(1 << 1000), u.from_mask(1 << 3)))
+        assert not entails(s, Implication(u.from_mask(1 << 1000), u.from_mask(1 << 3 | 1 << 1999)))
 
     def test_seeded_theories_percolate(self):
         big = 0
@@ -686,3 +739,71 @@ class TestCompileOnce:
             for back in (pickle.loads(after), copy.deepcopy(fresh)):
                 assert back == fresh and back._compiled is None
                 assert build(back).of_mask(0) == build(fresh).of_mask(0)
+
+    def test_membership_queries_share_the_column_compile(self, monkeypatch):
+        s = sig(U6, "3 -> 5", "1 5 -> 4", "6 -> 3")
+        size = len(pickle.dumps(s))
+        compiled = []
+        real = closure_module._columns
+
+        def counted(sigma):
+            compiled.append(sigma)
+            return real(sigma)
+
+        monkeypatch.setattr(closure_module, "_columns", counted)
+        assert entails(s, imp(U6, "1 6 -> 4"))
+        assert not entails(s, imp(U6, "5 -> 3"))
+        assert equivalent(s, s)
+        assert is_prime_implicate(s, imp(U6, "6 -> 5"))
+        assert compiled == [s]
+        # the operator made afterwards reuses the same compile, and binds
+        # stop = E in one flat partial
+        c = Closure.from_sigma(s)
+        assert c._fn.func is _close_columnwise and c._fn.args[1] == U6.full_mask
+        assert c.of_mask(aset(U6, "1 6").mask) == aset(U6, "1 3 4 5 6").mask
+        assert compiled == [s]
+        after = pickle.dumps(s)
+        assert len(after) == size and pickle.loads(after)._compiled is None
+
+
+class TestStoppedQueriesAgainstOracles:
+    """Membership queries, which stop LinClosure at their target, against
+    brute-force oracles on every small case."""
+
+    def test_is_prime_implicate_matches_brute_primes(self):
+        for case in range(200):
+            rng = rng_for(4200 + case)
+            n = rng.randint(1, 8)
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            want = brute_unit_primes(n, brute_closed_masks(n, s))
+            for prem in range(1 << n):
+                for e in range(n):
+                    if prem >> e & 1:
+                        continue
+                    query = Implication(u.from_mask(prem), u.from_mask(1 << e))
+                    assert is_prime_implicate(s, query) == ((prem, e) in want)
+
+    def test_equivalent_matches_closed_sets(self):
+        seen = {True: 0, False: 0}
+        for case in range(200):
+            rng = rng_for(4400 + case)
+            n = rng.randint(1, 8)
+            u = uni(n)
+            s = rand_sigma(rng, u)
+            pairs = s.mask_pairs()
+            prem = rand_mask(rng, n)
+            entailed = (prem, naive_fixpoint(pairs, prem) & rand_mask(rng, n))
+            random_rule = (rand_mask(rng, n), rand_mask(rng, n))
+            i = rng.randrange(len(pairs))
+            for other in (
+                ImplicationSet.from_pairs(u, pairs[:i] + pairs[i + 1 :]),
+                ImplicationSet.from_pairs(u, [*pairs, entailed]),
+                ImplicationSet.from_pairs(u, [*pairs, random_rule]),
+                gd_base(s),
+                rand_sigma(rng, u),
+            ):
+                want = brute_closed_masks(n, s) == brute_closed_masks(n, other)
+                assert equivalent(s, other) == equivalent(other, s) == want
+                seen[want] += 1
+        assert min(seen.values()) >= 200
