@@ -76,8 +76,7 @@ def remove_redundancy(sigma: ImplicationSet) -> ImplicationSet:
     When an earlier and a later implication are interchangeable the earlier
     one is dropped; the survivors keep their input order.
     """
-    kept = tuple(sigma.items[i] for i, _ in _leave_one_out(sigma))
-    return ImplicationSet(sigma.universe, kept)
+    return sigma._select([i for i, _ in _leave_one_out(sigma)])
 
 
 def trim_conclusions(sigma: ImplicationSet) -> ImplicationSet:

@@ -3,12 +3,15 @@ their text format.
 
 Sets are bit-vectors indexed by universe position (a Python int, so
 universes beyond 64 elements cost nothing extra), which keeps all the set
-algebra in the closure algorithms word-parallel.
+algebra in the closure algorithms word-parallel. A rule set holds its
+rules as ``(premise, conclusion)`` mask pairs: parsing maps labels
+straight to bits, and the ``Implication`` objects are built only when
+``items`` is read or the set is iterated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import InvariantError, ParseError, UniverseMismatchError
@@ -208,14 +211,26 @@ class Universe:
 
     # -- set construction -------------------------------------------------
 
-    def set_of(self, labels: Iterable[str]) -> AttrSet:
+    def _mask(self, labels: Iterable[str]) -> int:
+        """The mask of a label list, through ``index``; every parser turns
+        labels into bits here."""
+        index = self.index
         mask = 0
         for lab in labels:
-            pos = self.index.get(lab)
+            pos = index.get(lab)
             if pos is None:
                 raise ParseError(f"unknown label {lab!r}")
             mask |= 1 << pos
-        return AttrSet(self, mask)
+        return mask
+
+    def _parse_mask(self, text: str) -> int:
+        """The mask of a whitespace-separated label list; "-" alone is the
+        empty set, and a "-" among labels is an unknown label."""
+        tokens = text.split()
+        return 0 if tokens == ["-"] else self._mask(tokens)
+
+    def set_of(self, labels: Iterable[str]) -> AttrSet:
+        return AttrSet(self, self._mask(labels))
 
     def from_mask(self, mask: int) -> AttrSet:
         return AttrSet(self, mask)
@@ -228,10 +243,7 @@ class Universe:
 
     def parse_set(self, text: str) -> AttrSet:
         """Parse a whitespace-separated label list; "-" denotes the empty set."""
-        tokens = text.split()
-        if tokens == ["-"]:
-            return self.empty()
-        return self.set_of(tokens)
+        return AttrSet(self, self._parse_mask(text))
 
 
 def _bubble_name(i: int) -> str:
@@ -350,53 +362,127 @@ class Implication:
         return f"({self.render()})"
 
 
-@dataclass(frozen=True, slots=True)
+def _pair_key(pair: tuple[int, int]) -> tuple:
+    """``Implication.key`` of a mask pair, flattened: premise size and
+    positions, then conclusion size and positions."""
+    p, c = pair
+    return (p.bit_count(), tuple(bits(p)), c.bit_count(), tuple(bits(c)))
+
+
 class ImplicationSet:
-    """Family of implications; item order only matters for ordered evaluation."""
+    """Family of implications; item order only matters for ordered evaluation.
+
+    The rules are held as one tuple of ``(premise, conclusion)`` mask
+    pairs, which is the value: eq, hash, pickles, ``len``, ``mask_pairs``
+    and ``render`` read it. The ``Implication`` objects are built on the
+    first read of ``items`` or iteration and then kept; a set made from
+    ``Implication``s keeps the given objects. Frozen like a dataclass:
+    assignment raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ("universe", "_pairs", "_items", "_compiled")
 
     universe: Universe
-    items: tuple[Implication, ...]
-    #: dict of compiled closure kernels ("row", "column"), filled on first
-    #: use by ``hornkit.closure``; not part of the value, so it stays out of
-    #: eq, hash, repr and pickles
-    _compiled: object = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
+    _pairs: tuple[tuple[int, int], ...]
+    #: the Implication objects, or None until first asked for
+    _items: tuple[Implication, ...] | None
+    #: dict of compiled closure kernels ("row", "column", "lin"), filled on
+    #: first use by ``hornkit.closure``; not part of the value, so it stays
+    #: out of eq, hash, repr and pickles
+    _compiled: dict | None
 
-    def __post_init__(self) -> None:
-        for imp in self.items:
-            if imp.universe != self.universe:
+    def __init__(self, universe: Universe, items: Iterable[Implication]):
+        items = tuple(items)
+        for imp in items:
+            if imp.universe != universe:
                 raise UniverseMismatchError("implication outside family universe")
+        pairs = tuple([(imp.premise.mask, imp.conclusion.mask) for imp in items])
+        self._fill(universe, pairs, items)
 
-    def __reduce__(self):
-        return (type(self), (self.universe, self.items))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[Implication]:
-        return iter(self.items)
+    def _fill(self, universe: Universe, pairs: tuple, items: tuple | None) -> ImplicationSet:
+        setter = object.__setattr__
+        setter(self, "universe", universe)
+        setter(self, "_pairs", pairs)
+        setter(self, "_items", items)
+        setter(self, "_compiled", None)
+        return self
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> ImplicationSet:
         """The rules of the ``(premise, conclusion)`` mask pairs, in the
-        given order: the inverse of ``mask_pairs``."""
-        return cls(universe, tuple(
-            Implication(AttrSet(universe, p), AttrSet(universe, c)) for p, c in pairs
-        ))
+        given order: the inverse of ``mask_pairs``. No ``Implication`` is
+        built."""
+        pairs = tuple(pairs)
+        every = 0
+        for p, c in pairs:
+            every |= p | c
+        if every & ~universe.full_mask:
+            raise UniverseMismatchError("set has members outside its universe")
+        return cls.__new__(cls)._fill(universe, pairs, None)
+
+    def _select(self, indices: Iterable[int]) -> ImplicationSet:
+        """The rules at ``indices``, in that order; the ``Implication``
+        objects come along when they were already built."""
+        indices = list(indices)
+        pairs = self._pairs
+        items = self._items
+        return type(self).__new__(type(self))._fill(
+            self.universe,
+            tuple([pairs[i] for i in indices]),
+            None if items is None else tuple([items[i] for i in indices]),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.from_pairs, (self.universe, self._pairs))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.universe == other.universe and self._pairs == other._pairs
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self._pairs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(universe={self.universe!r}, items={self.items!r})"
+
+    @property
+    def items(self) -> tuple[Implication, ...]:
+        """The rules as ``Implication`` objects, built on first use."""
+        items = self._items
+        if items is None:
+            u = self.universe
+            items = tuple([Implication(AttrSet(u, p), AttrSet(u, c)) for p, c in self._pairs])
+            object.__setattr__(self, "_items", items)
+        return items
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __iter__(self) -> Iterator[Implication]:
+        return iter(self.items)
 
     def mask_pairs(self) -> list[tuple[int, int]]:
         """The ``(premise, conclusion)`` mask pair of each rule, in order."""
-        return [(imp.premise.mask, imp.conclusion.mask) for imp in self.items]
+        return list(self._pairs)
 
     def sorted(self) -> ImplicationSet:
-        return ImplicationSet(self.universe, tuple(sorted(self.items, key=Implication.key)))
+        """The rules in ``Implication.key`` order."""
+        pairs = self._pairs
+        return self._select(sorted(range(len(pairs)), key=lambda i: _pair_key(pairs[i])))
 
     def as_pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.mask_pairs())
+        return frozenset(self._pairs)
 
     def render(self) -> str:
-        return "\n".join(imp.render() for imp in self.items)
+        text = self.universe.text
+        return "\n".join([f"{text(p)} -> {text(c)}".strip() for p, c in self._pairs])
 
 
 @dataclass(frozen=True, slots=True)
@@ -501,19 +587,23 @@ def parse_universe(text: str) -> Universe:
     raise ParseError("empty universe declaration")
 
 
-def parse_implication(line: str, universe: Universe) -> Implication:
+def _rule_masks(line: str, universe: Universe) -> tuple[int, int]:
     if "->" not in line:
         raise ParseError(f"missing '->' in {line!r}")
     left, right = line.split("->", 1)
-    return Implication(universe.parse_set(left), universe.parse_set(right))
+    return universe._parse_mask(left), universe._parse_mask(right)
+
+
+def parse_implication(line: str, universe: Universe) -> Implication:
+    p, c = _rule_masks(line, universe)
+    return Implication(AttrSet(universe, p), AttrSet(universe, c))
 
 
 def parse_implications(text: str, universe: Universe) -> ImplicationSet:
     """Parse one implication per content line, in file order."""
-    items = []
-    for line in _body_lines(text):
-        items.append(parse_implication(line, universe))
-    return ImplicationSet(universe, tuple(items))
+    return ImplicationSet.from_pairs(
+        universe, [_rule_masks(line, universe) for line in _body_lines(text)]
+    )
 
 
 def parse_family(text: str, universe: Universe) -> SetFamily:

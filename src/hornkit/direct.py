@@ -71,6 +71,8 @@ def classify_stems(
     """Strong stems (roots(X) = c(X) \\ X) and closure-minimality per root."""
     c = Closure.wrap(source)
     u = c.universe
+    if table.universe != u:
+        raise UniverseMismatchError("stem table and source in different universes")
     out: dict[AttrSet, StemClassification] = {}
     for stem, roots in table.roots_of.items():
         cl = c.of_mask(stem.mask)

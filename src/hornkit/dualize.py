@@ -11,7 +11,6 @@ from typing import Union
 from .closure import ClosureSource, flat_rows, lectic_masks, source_universe
 from .core import (
     AttrSet,
-    Implication,
     ImplicationSet,
     SetFamily,
     Universe,
@@ -119,8 +118,9 @@ class StemTable:
 
     def direct_base(self) -> ImplicationSet:
         """The canonical direct base {X -> roots(X) : X a stem}."""
-        items = tuple(Implication(stem, roots) for stem, roots in self.roots_of.items())
-        return ImplicationSet(self.universe, items)
+        return ImplicationSet.from_pairs(
+            self.universe, [(stem.mask, roots.mask) for stem, roots in self.roots_of.items()]
+        )
 
     @classmethod
     def of(cls, source: ClosureSource) -> StemTable:

@@ -151,6 +151,8 @@ def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) 
     element, runs sigma's shared LinClosure only until the positive
     literal is in.
     """
+    if clause.universe != sigma.universe:
+        raise UniverseMismatchError("clause and family in different universes")
     if isinstance(clause, Implication):
         clause = HornClause.from_implication(clause)
     if clause.positive is None:

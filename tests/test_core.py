@@ -1,6 +1,7 @@
 import copy
 import pickle
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -19,8 +20,10 @@ from hornkit import (
     measures,
     normalize,
     parse_family,
+    parse_implication,
     parse_implications,
     parse_universe,
+    remove_redundancy,
     trim_conclusions,
     unit_expand,
 )
@@ -133,6 +136,121 @@ class TestParsing:
         assert rendered == text
         u2, f = load_family("elements: a b\n-\na b\n")
         assert ("elements: " + " ".join(u2.labels) + "\n" + f.render() + "\n") == "elements: a b\n-\na b\n"
+
+
+class TestParseErrorText:
+    """The exact ParseError message of each malformed line, through every
+    parser that reads implication lines."""
+
+    U3 = uni(3)
+
+    @staticmethod
+    def message(fn, *args) -> str:
+        with pytest.raises(ParseError) as caught:
+            fn(*args)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("line, want", [
+        ("1 -> 9", "unknown label '9'"),
+        ("9 2 -> 1", "unknown label '9'"),
+        ("1 2 3", "missing '->' in '1 2 3'"),
+        ("- 1 -> 2", "unknown label '-'"),
+        ("1 -> - 2", "unknown label '-'"),
+    ])
+    def test_line_errors(self, line, want):
+        u = self.U3
+        assert self.message(parse_implication, line, u) == want
+        assert self.message(parse_implications, f"1 -> 2\n{line}\n", u) == want
+        assert self.message(load_implications, f"elements: 1 2 3\n{line}\n") == want
+
+    def test_second_header(self):
+        want = "second 'elements:' header: 'elements: 1 2'"
+        assert self.message(parse_implications, "1 -> 2\nelements: 1 2", self.U3) == want
+        assert self.message(load_implications, "elements: 1 2 3\n1 -> 2\nelements: 1 2\n") == want
+
+
+class TestRuleSetValue:
+    """A rule set is its universe and its mask pairs, whether it was built
+    from pairs or from Implication objects, and whether or not its
+    Implication objects have been built yet."""
+
+    def rule_sets(self):
+        sides = Counter()
+        for case in range(240):
+            rng = rng_for(21000 + case)
+            n = rng.randint(1, 12)
+            u = uni(n)
+            ps = []
+            for _ in range(rng.randint(0, 3 * n)):
+                prem, conc = rand_mask(rng, n), rand_mask(rng, n)
+                side = rng.choice(("premise", "conclusion", "both", "none", "none"))
+                if side in ("premise", "both"):
+                    prem = 0
+                if side in ("conclusion", "both"):
+                    conc = 0
+                sides[side] += 1
+                ps.append((prem, conc))
+            yield u, ps
+        assert min(sides[k] for k in ("premise", "conclusion", "both")) >= 100
+
+    def test_both_builders_agree(self):
+        for u, ps in self.rule_sets():
+            items = tuple(Implication(u.from_mask(p), u.from_mask(c)) for p, c in ps)
+            lazy = ImplicationSet.from_pairs(u, ps)
+            given = ImplicationSet(u, items)
+            assert lazy == given and hash(lazy) == hash(given)
+            assert len(lazy) == len(given) == len(ps)
+            assert pickle.dumps(lazy) == pickle.dumps(given)
+            assert repr(lazy) == repr(given)
+            assert list(lazy) == list(given) == list(items)
+            assert all(a is b for a, b in zip(given.items, items))
+            assert lazy.mask_pairs() == given.mask_pairs() == ps
+
+    def test_pickle_and_deepcopy_before_and_after_items(self):
+        for u, ps in self.rule_sets():
+            s = ImplicationSet.from_pairs(u, ps)
+            before = pickle.dumps(s)
+            for _ in range(2):
+                for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+                    assert back == s and hash(back) == hash(s)
+                    assert back.mask_pairs() == ps and back.render() == s.render()
+                    assert list(back) == list(s)
+                assert pickle.dumps(s) == before
+                assert len(s.items) == len(ps)
+
+    def test_render_parses_back(self):
+        for u, ps in self.rule_sets():
+            s = ImplicationSet.from_pairs(u, ps)
+            assert parse_implications(s.render(), u) == s
+            assert s.render() == "\n".join(imp.render() for imp in s)
+
+    def test_out_of_universe_pair_refused(self):
+        u = uni(3)
+        for pair in ((0b1000, 0), (0, 0b1000), (0b111, 0b1111), (-1, 0)):
+            with pytest.raises(UniverseMismatchError, match="set has members outside its universe"):
+                ImplicationSet.from_pairs(u, [(0, 1), pair])
+
+    def test_assignment_refused(self):
+        s = ImplicationSet.from_pairs(uni(2), [(1, 2)])
+        for name in ("items", "universe", "_pairs"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(s, name)
+        assert s.mask_pairs() == [(1, 2)] and s.universe == uni(2)
+
+    def test_producers_ignore_whether_items_were_built(self):
+        for u, ps in self.rule_sets():
+            lazy, built = ImplicationSet.from_pairs(u, ps), ImplicationSet.from_pairs(u, ps)
+            assert len(built.items) == len(ps)
+            for produce in (remove_redundancy, ImplicationSet.sorted):
+                a, b = produce(lazy), produce(built)
+                assert a.mask_pairs() == b.mask_pairs()
+                # the built objects come along; none are made for the lazy set
+                assert all(any(x is y for y in built.items) for x in b.items)
+                assert lazy._items is None
+            want = sorted(built.items, key=Implication.key)
+            assert list(lazy.sorted()) == want
 
 
 class TestMaskText:

@@ -8,6 +8,8 @@ from hornkit import (
     NotDirectError,
     OrderedBase,
     SetFamily,
+    Universe,
+    UniverseMismatchError,
     canonical_direct,
     classify_stems,
     close,
@@ -207,6 +209,18 @@ class TestClassifyStems:
         u = uni(3)
         empty = ImplicationSet(u, ())
         assert classify_stems(stem_table(empty), empty) == {}
+
+    def test_source_from_another_universe_refused(self):
+        # each pair differs in size or, for a b against x y, only in labels
+        ab, abc, xy = Universe(("a", "b")), Universe(("a", "b", "c")), Universe(("x", "y"))
+        for table_u, source_u in ((ab, abc), (abc, ab), (ab, xy)):
+            first, second = table_u.labels[:2]
+            table = stem_table(sig(table_u, f"{first} -> {second}"))
+            first, second = source_u.labels[:2]
+            source = sig(source_u, f"{first} -> {second}")
+            for given in (source, Closure.from_sigma(source)):
+                with pytest.raises(UniverseMismatchError):
+                    classify_stems(table, given)
 
     def test_closure_minimal_flags(self):
         t = stem_table(EQ25_MF)

@@ -10,6 +10,8 @@ from hornkit import (
     ImplicationGraph,
     ImplicationSet,
     NotAcyclicError,
+    Universe,
+    UniverseMismatchError,
     acyclic_base,
     clauses_of,
     consensus_closure,
@@ -142,6 +144,16 @@ class TestIsPrimeImplicate:
     def test_non_implicate(self):
         u = uni(3)
         assert not is_prime_implicate(sig(u, "1 -> 2"), imp(u, "1 -> 3"))
+
+    def test_clause_from_another_universe_refused(self):
+        # sigma over a b; the clause over a b c differs in size, the one
+        # over x y only in its labels
+        s = sig(Universe(("a", "b")), "a -> b")
+        for labels, line in ((("a", "b", "c"), "c -> a"), (("x", "y"), "x -> y")):
+            query = imp(Universe(labels), line)
+            for clause in (query, HornClause.from_implication(query)):
+                with pytest.raises(UniverseMismatchError):
+                    is_prime_implicate(s, clause)
 
 
 class TestAcyclicity:
