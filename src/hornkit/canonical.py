@@ -10,6 +10,7 @@ from typing import Iterator
 from .closure import Closure, ClosureSource, _close_columnwise, _columns, source_universe
 from .core import ImplicationSet, SetFamily, normalize
 from .direct import canonical_direct
+from .errors import UniverseMismatchError
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,6 +19,10 @@ class PseudoclosedReport:
 
     pseudoclosed: SetFamily
     essential_closures: SetFamily
+
+    def __post_init__(self) -> None:
+        if self.pseudoclosed.universe != self.essential_closures.universe:
+            raise UniverseMismatchError("report families in different universes")
 
 
 def _leave_one_out(sigma: ImplicationSet) -> Iterator[tuple[int, int]]:

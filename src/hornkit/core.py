@@ -3,16 +3,15 @@ their text format.
 
 Sets are bit-vectors indexed by universe position (a Python int, so
 universes beyond 64 elements cost nothing extra), which keeps all the set
-algebra in the closure algorithms word-parallel. A rule set holds its
-rules as ``(premise, conclusion)`` mask pairs: parsing maps labels
-straight to bits, and the ``Implication`` objects are built only when
-``items`` is read or the set is iterated.
+algebra in the closure algorithms word-parallel. Rule sets hold mask
+pairs and families hold masks: parsing maps labels straight to bits, and
+``Implication`` and ``AttrSet`` objects are built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantError, ParseError, UniverseMismatchError
 
@@ -209,6 +208,10 @@ class Universe:
         if acc != self.full_mask or size != self.size:
             raise InvariantError("row masks do not partition the universe")
 
+    def _check_position(self, pos: int) -> None:
+        if not 0 <= pos < self.size:
+            raise UniverseMismatchError(f"element position {pos} outside universe")
+
     # -- set construction -------------------------------------------------
 
     def _mask(self, labels: Iterable[str]) -> int:
@@ -279,6 +282,11 @@ def set_text(s: AttrSet) -> str:
     return s.universe.lines((s.mask,))
 
 
+def _set_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical sort key of a set: cardinality, then positions lexicographically."""
+    return (mask.bit_count(), tuple(bits(mask)))
+
+
 @dataclass(frozen=True, slots=True)
 class AttrSet:
     """Subset of a universe, equal iff same universe and same members."""
@@ -325,7 +333,7 @@ class AttrSet:
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical sort key: cardinality, then positions lexicographically."""
-        return (self.mask.bit_count(), self.positions)
+        return _set_key(self.mask)
 
     def render(self) -> str:
         return self.universe.text(self.mask)
@@ -353,7 +361,7 @@ class Implication:
         return self.conclusion.issubset(self.premise)
 
     def key(self):
-        return (self.premise.key(), self.conclusion.key())
+        return _pair_key((self.premise.mask, self.conclusion.mask))
 
     def render(self) -> str:
         return f"{self.premise.render()} -> {self.conclusion.render()}".strip()
@@ -363,74 +371,54 @@ class Implication:
 
 
 def _pair_key(pair: tuple[int, int]) -> tuple:
-    """``Implication.key`` of a mask pair, flattened: premise size and
-    positions, then conclusion size and positions."""
-    p, c = pair
-    return (p.bit_count(), tuple(bits(p)), c.bit_count(), tuple(bits(c)))
+    """``Implication.key`` of a ``(premise, conclusion)`` mask pair."""
+    return (_set_key(pair[0]), _set_key(pair[1]))
 
 
-class ImplicationSet:
-    """Family of implications; item order only matters for ordered evaluation.
+def _implication(universe: Universe, pair: tuple[int, int]) -> Implication:
+    return Implication(AttrSet(universe, pair[0]), AttrSet(universe, pair[1]))
 
-    The rules are held as one tuple of ``(premise, conclusion)`` mask
-    pairs, which is the value: eq, hash, pickles, ``len``, ``mask_pairs``
-    and ``render`` read it. The ``Implication`` objects are built on the
-    first read of ``items`` or iteration and then kept; a set made from
-    ``Implication``s keeps the given objects. Frozen like a dataclass:
-    assignment raises ``dataclasses.FrozenInstanceError``.
-    """
 
-    __slots__ = ("universe", "_pairs", "_items", "_compiled")
+class _MaskTuple:
+    """A frozen value over one universe: one tuple ``_masks`` of masks (a
+    family) or mask pairs (a rule set), in the given order, read by eq,
+    hash, pickles and every mask query. The objects (``AttrSet``s or
+    ``Implication``s) are built on first read or iteration, then kept; an
+    instance made from objects keeps them. Assignment raises
+    ``dataclasses.FrozenInstanceError``."""
+
+    __slots__ = ("universe", "_masks", "_objects", "_compiled")
 
     universe: Universe
-    _pairs: tuple[tuple[int, int], ...]
-    #: the Implication objects, or None until first asked for
-    _items: tuple[Implication, ...] | None
-    #: dict of compiled closure kernels ("row", "column", "lin"), filled on
-    #: first use by ``hornkit.closure``; not part of the value, so it stays
-    #: out of eq, hash, repr and pickles
+    #: the value objects, or None until first asked for
+    _objects: tuple | None
+    #: dict of closure kernels, filled on first use by ``closure._kernel``
+    #: ("row", "column" and "lin" for rules, "family" for a family); not
+    #: part of the value, so it stays out of eq, hash, repr and pickles
     _compiled: dict | None
+    #: the objects' field name, and their builder from (universe, entry)
+    _field: str
+    _object: Callable
 
-    def __init__(self, universe: Universe, items: Iterable[Implication]):
-        items = tuple(items)
-        for imp in items:
-            if imp.universe != universe:
-                raise UniverseMismatchError("implication outside family universe")
-        pairs = tuple([(imp.premise.mask, imp.conclusion.mask) for imp in items])
-        self._fill(universe, pairs, items)
-
-    def _fill(self, universe: Universe, pairs: tuple, items: tuple | None) -> ImplicationSet:
+    def _fill(self, universe: Universe, masks: tuple, objects: tuple | None):
         setter = object.__setattr__
         setter(self, "universe", universe)
-        setter(self, "_pairs", pairs)
-        setter(self, "_items", items)
+        setter(self, "_masks", masks)
+        setter(self, "_objects", objects)
         setter(self, "_compiled", None)
         return self
 
     @classmethod
-    def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> ImplicationSet:
-        """The rules of the ``(premise, conclusion)`` mask pairs, in the
-        given order: the inverse of ``mask_pairs``. No ``Implication`` is
-        built."""
-        pairs = tuple(pairs)
-        every = 0
-        for p, c in pairs:
-            every |= p | c
-        if every & ~universe.full_mask:
-            raise UniverseMismatchError("set has members outside its universe")
-        return cls.__new__(cls)._fill(universe, pairs, None)
+    def _of(cls, universe: Universe, masks: tuple, objects: tuple | None = None):
+        """An instance holding masks already known to lie in the universe."""
+        return cls.__new__(cls)._fill(universe, masks, objects)
 
-    def _select(self, indices: Iterable[int]) -> ImplicationSet:
-        """The rules at ``indices``, in that order; the ``Implication``
-        objects come along when they were already built."""
-        indices = list(indices)
-        pairs = self._pairs
-        items = self._items
-        return type(self).__new__(type(self))._fill(
-            self.universe,
-            tuple([pairs[i] for i in indices]),
-            None if items is None else tuple([items[i] for i in indices]),
-        )
+    def _kept(self) -> tuple:
+        objects = self._objects
+        if objects is None:
+            objects = tuple([self._object(self.universe, m) for m in self._masks])
+            object.__setattr__(self, "_objects", objects)
+        return objects
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -439,108 +427,125 @@ class ImplicationSet:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (self.from_pairs, (self.universe, self._pairs))
+        return (self._of, (self.universe, self._masks))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.universe == other.universe and self._pairs == other._pairs
+        return self.universe == other.universe and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.universe, self._pairs))
+        return hash((self.universe, self._masks))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(universe={self.universe!r}, items={self.items!r})"
-
-    @property
-    def items(self) -> tuple[Implication, ...]:
-        """The rules as ``Implication`` objects, built on first use."""
-        items = self._items
-        if items is None:
-            u = self.universe
-            items = tuple([Implication(AttrSet(u, p), AttrSet(u, c)) for p, c in self._pairs])
-            object.__setattr__(self, "_items", items)
-        return items
+        name = type(self).__qualname__
+        return f"{name}(universe={self.universe!r}, {self._field}={self._kept()!r})"
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._masks)
 
-    def __iter__(self) -> Iterator[Implication]:
-        return iter(self.items)
+    def __iter__(self) -> Iterator:
+        return iter(self._kept())
+
+
+class ImplicationSet(_MaskTuple):
+    """Family of implications, held as ``(premise, conclusion)`` mask pairs;
+    item order only matters for ordered evaluation."""
+
+    __slots__ = ()
+    _field = "items"
+    _object = staticmethod(_implication)
+    items = property(_MaskTuple._kept, doc="The rules as ``Implication``s, built on first use.")
+
+    def __init__(self, universe: Universe, items: Iterable[Implication]):
+        items = tuple(items)
+        for imp in items:
+            if imp.universe != universe:
+                raise UniverseMismatchError("implication outside family universe")
+        self._fill(universe, tuple([(i.premise.mask, i.conclusion.mask) for i in items]), items)
+
+    @classmethod
+    def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> ImplicationSet:
+        """The rules of the ``(premise, conclusion)`` mask pairs, in the
+        given order: the inverse of ``mask_pairs``."""
+        pairs = tuple(pairs)
+        every = 0
+        for p, c in pairs:
+            every |= p | c
+        if every & ~universe.full_mask:
+            raise UniverseMismatchError("set has members outside its universe")
+        return cls._of(universe, pairs)
+
+    def _select(self, indices: Iterable[int]) -> ImplicationSet:
+        """The rules at ``indices``, in that order; the ``Implication``
+        objects come along when they were already built."""
+        indices = list(indices)
+        pairs, items = self._masks, self._objects
+        if items is not None:
+            items = tuple([items[i] for i in indices])
+        return self._of(self.universe, tuple([pairs[i] for i in indices]), items)
 
     def mask_pairs(self) -> list[tuple[int, int]]:
         """The ``(premise, conclusion)`` mask pair of each rule, in order."""
-        return list(self._pairs)
+        return list(self._masks)
 
     def sorted(self) -> ImplicationSet:
         """The rules in ``Implication.key`` order."""
-        pairs = self._pairs
+        pairs = self._masks
         return self._select(sorted(range(len(pairs)), key=lambda i: _pair_key(pairs[i])))
 
     def as_pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._pairs)
+        return frozenset(self._masks)
 
     def render(self) -> str:
         text = self.universe.text
-        return "\n".join([f"{text(p)} -> {text(c)}".strip() for p, c in self._pairs])
+        return "\n".join([f"{text(p)} -> {text(c)}".strip() for p, c in self._masks])
 
 
-@dataclass(frozen=True, slots=True)
-class SetFamily:
-    """List of attribute sets; used for generating families and hypergraphs."""
+class SetFamily(_MaskTuple):
+    """List of attribute sets, held as masks in the given order, duplicates
+    kept; used for generating families and hypergraphs."""
 
-    universe: Universe
-    sets: tuple[AttrSet, ...]
-    #: dict holding the family's one closure kernel, as on ImplicationSet
-    _compiled: object = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
+    __slots__ = ()
+    _field = "sets"
+    _object = AttrSet
+    sets = property(_MaskTuple._kept, doc="The members as ``AttrSet``s, built on first use.")
 
-    def __post_init__(self) -> None:
-        for s in self.sets:
-            if s.universe != self.universe:
+    def __init__(self, universe: Universe, sets: Iterable[AttrSet]):
+        sets = tuple(sets)
+        for s in sets:
+            if s.universe != universe:
                 raise UniverseMismatchError("set outside family universe")
-
-    def __reduce__(self):
-        return (type(self), (self.universe, self.sets))
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self) -> Iterator[AttrSet]:
-        return iter(self.sets)
-
-    def masks(self) -> list[int]:
-        return [s.mask for s in self.sets]
-
-    def as_mask_set(self) -> frozenset[int]:
-        return frozenset(s.mask for s in self.sets)
-
-    @property
-    def is_antichain(self) -> bool:
-        ms = self.masks()
-        for i, a in enumerate(ms):
-            for j, b in enumerate(ms):
-                if i != j and a & ~b == 0:
-                    return False
-        return True
+        self._fill(universe, tuple([s.mask for s in sets]), sets)
 
     @classmethod
     def from_masks(cls, universe: Universe, masks: Iterable[int]) -> SetFamily:
         """The family of the distinct masks, sorted by ``AttrSet.key``."""
-        sets = sorted([AttrSet(universe, m) for m in set(masks)], key=AttrSet.key)
-        return cls(universe, tuple(sets))
+        masks = set(masks)
+        if masks and (min(masks) < 0 or max(masks) > universe.full_mask):
+            raise UniverseMismatchError("set has members outside its universe")
+        return cls._of(universe, tuple(sorted(masks, key=_set_key)))
+
+    def masks(self) -> list[int]:
+        return list(self._masks)
+
+    def as_mask_set(self) -> frozenset[int]:
+        return frozenset(self._masks)
+
+    @property
+    def is_antichain(self) -> bool:
+        return len(extreme_masks(self._masks)) == len(self._masks)
 
     def minimize(self) -> SetFamily:
         """Keep inclusion-minimal members only (canonical order)."""
-        return SetFamily.from_masks(self.universe, extreme_masks(self.masks()))
+        return self.from_masks(self.universe, extreme_masks(self._masks))
 
     def maximize(self) -> SetFamily:
         """Keep inclusion-maximal members only (canonical order)."""
-        return SetFamily.from_masks(self.universe, extreme_masks(self.masks(), maximal=True))
+        return self.from_masks(self.universe, extreme_masks(self._masks, maximal=True))
 
     def render(self) -> str:
-        return self.universe.lines(self.masks())
+        return self.universe.lines(self._masks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -595,8 +600,7 @@ def _rule_masks(line: str, universe: Universe) -> tuple[int, int]:
 
 
 def parse_implication(line: str, universe: Universe) -> Implication:
-    p, c = _rule_masks(line, universe)
-    return Implication(AttrSet(universe, p), AttrSet(universe, c))
+    return _implication(universe, _rule_masks(line, universe))
 
 
 def parse_implications(text: str, universe: Universe) -> ImplicationSet:
@@ -608,10 +612,8 @@ def parse_implications(text: str, universe: Universe) -> ImplicationSet:
 
 def parse_family(text: str, universe: Universe) -> SetFamily:
     """Parse one set per content line; "-" denotes the empty set."""
-    sets = []
-    for line in _body_lines(text):
-        sets.append(universe.parse_set(line))
-    return SetFamily(universe, tuple(sets))
+    masks = tuple([universe._parse_mask(line) for line in _body_lines(text)])
+    return SetFamily._of(universe, masks)
 
 
 def load_implications(text: str) -> tuple[Universe, ImplicationSet]:

@@ -79,7 +79,7 @@ def classify_stems(
         strong = roots.mask == cl & ~stem.mask
         minimal_for = 0
         for e in bits(roots.mask):
-            competitors = [c.of_mask(s.mask) for s in table.stems_of[e]]
+            competitors = [c.of_mask(s) for s in table.stems_of[e].masks()]
             if not any(other != cl and other & ~cl == 0 for other in competitors):
                 minimal_for |= 1 << e
         out[stem] = StemClassification(
@@ -98,6 +98,8 @@ class OrderedBase:
     binary_count: int
 
     def __post_init__(self) -> None:
+        if any(imp.universe != self.universe for imp in self.items):
+            raise UniverseMismatchError("implication outside the base's universe")
         for imp in self.items[: self.binary_count]:
             if len(imp.premise) > 1:
                 raise InvariantError(f"binary prefix holds {imp.render()}")

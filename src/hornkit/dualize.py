@@ -61,10 +61,7 @@ def minimal_transversals(h: SetFamily) -> SetFamily:
     """
     u = h.universe
     edges = extreme_masks(h.masks())
-    if 0 in edges:
-        return SetFamily(u, ())
-    trs = _transversal_masks(edges)
-    return SetFamily.from_masks(u, trs)
+    return SetFamily.from_masks(u, () if 0 in edges else _transversal_masks(edges))
 
 
 ClosedSource = Union[ImplicationSet, SetFamily]
@@ -116,6 +113,13 @@ class StemTable:
     stems_of: dict[int, SetFamily]  # position -> antichain of stems
     roots_of: dict[AttrSet, AttrSet]  # stem -> its roots
 
+    def __post_init__(self) -> None:
+        u = self.universe
+        if any(f.universe != u for f in self.stems_of.values()) or any(
+            s.universe != u or r.universe != u for s, r in self.roots_of.items()
+        ):
+            raise UniverseMismatchError("stem table entry outside its universe")
+
     def direct_base(self) -> ImplicationSet:
         """The canonical direct base {X -> roots(X) : X a stem}."""
         return ImplicationSet.from_pairs(
@@ -148,8 +152,7 @@ def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
     F(sigma), taking per row the largest member avoiding e.
     """
     u = source_universe(source)
-    if not 0 <= e < u.size:
-        raise UniverseMismatchError(f"element position {e} outside universe")
+    u._check_position(e)
     return SetFamily.from_masks(u, _max_avoiding(_row_tops(source), e))
 
 
@@ -160,6 +163,11 @@ class MaxNonCover:
     universe: Universe
     max_of: dict[int, SetFamily]
     cmax_of: dict[int, SetFamily]
+
+    def __post_init__(self) -> None:
+        u = self.universe
+        if any(f.universe != u for f in (*self.max_of.values(), *self.cmax_of.values())):
+            raise UniverseMismatchError("max(F,e) table entry outside its universe")
 
 
 def max_noncover_table(source: ClosedSource) -> MaxNonCover:
@@ -191,16 +199,15 @@ def stems_from_meetirr(m: SetFamily, e: int) -> SetFamily:
     Also covers elements of ⋂F, for which the answer is {∅}.
     """
     u = m.universe
-    if not 0 <= e < u.size:
-        raise UniverseMismatchError(f"element position {e} outside universe")
+    u._check_position(e)
     return SetFamily.from_masks(u, _stem_masks(_row_tops(m), e, u.full_mask))
 
 
 def cmax_from_stems(table: StemTable, e: int) -> SetFamily:
     """cmax(F,e) as mtr(stems(e) ∪ {{e}}); complementing gives max(F,e)."""
     u = table.universe
-    edges = list(table.stems_of[e].sets) + [AttrSet(u, 1 << e)]
-    return minimal_transversals(SetFamily(u, tuple(edges)))
+    u._check_position(e)
+    return minimal_transversals(SetFamily.from_masks(u, table.stems_of[e].masks() + [1 << e]))
 
 
 def minimal_keys(source: ClosedSource) -> SetFamily:
@@ -208,7 +215,5 @@ def minimal_keys(source: ClosedSource) -> SetFamily:
     complements of the hyperplanes (the maximal closed sets below E).
     """
     u = source_universe(source)
-    mi = meet_irreducibles(source)
-    hyper = mi.maximize()
-    comp = SetFamily(u, tuple(s.complement() for s in hyper))
-    return minimal_transversals(comp)
+    hyper = extreme_masks(meet_irreducibles(source).masks(), maximal=True)
+    return minimal_transversals(SetFamily.from_masks(u, [u.full_mask & ~m for m in hyper]))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .canonical import remove_redundancy
 from .closure import _kernel
-from .core import AttrSet, Implication, ImplicationSet, Universe, bits, unit_expand
+from .core import AttrSet, Implication, ImplicationSet, Universe, bits
 from .dualize import StemTable
 from .errors import HornkitError, NotAcyclicError, UniverseMismatchError
 
@@ -25,6 +25,8 @@ class HornClause:
     positive: int | None
 
     def __post_init__(self) -> None:
+        if self.positive is not None:
+            self.universe._check_position(self.positive)
         if self.positive is not None and self.positive in self.negatives:
             raise HornkitError("positive literal also occurs negated")
 
@@ -36,9 +38,7 @@ class HornClause:
         return self.positive is not None
 
     def subsumes(self, other: HornClause) -> bool:
-        return self.positive == other.positive and self.negatives.issubset(
-            other.negatives
-        )
+        return self.negatives.issubset(other.negatives) and self.positive == other.positive
 
     def key(self):
         return (self.negatives.key(), -1 if self.positive is None else self.positive)
@@ -66,7 +66,8 @@ class HornClause:
 
 def clauses_of(sigma: ImplicationSet) -> list[HornClause]:
     """The pure Horn clauses matching the unit expansion of sigma."""
-    return [HornClause.from_implication(i) for i in unit_expand(sigma) if not i.is_tautology()]
+    u = sigma.universe
+    return [HornClause(AttrSet(u, p), e) for p, c in sigma.mask_pairs() for e in bits(c & ~p)]
 
 
 def implications_of(clauses: list[HornClause], universe: Universe) -> ImplicationSet:

@@ -67,6 +67,8 @@ class Row012n:
         The joint forced-present mask is a common member iff it avoids both
         forced-absent masks and fully covers no bubble.
         """
+        if other.universe != self.universe:
+            raise UniverseMismatchError("rows in different universes")
         ones = self.ones | other.ones
         if ones & (self.zeros | other.zeros):
             return False
@@ -89,6 +91,10 @@ class RowSystem:
 
     universe: Universe
     rows: tuple[Row012n, ...]
+
+    def __post_init__(self) -> None:
+        if any(r.universe != self.universe for r in self.rows):
+            raise UniverseMismatchError("row outside the system's universe")
 
     def count(self) -> int:
         return sum(r.count() for r in self.rows)
@@ -206,8 +212,8 @@ def horn_satisfiable(h: HornSystem) -> tuple[bool, AttrSet | None]:
     """Satisfiability in linear time: the least closed set is a model unless
     it covers a complication; it is returned as the witness."""
     bottom = Closure.from_sigma(h.sigma).of_mask(0)
-    for aset in h.gamma:
-        if aset.mask & ~bottom == 0:
+    for m in h.gamma.masks():
+        if m & ~bottom == 0:
             return False, None
     return True, AttrSet(h.universe, bottom)
 
@@ -219,8 +225,8 @@ def near_minimum_base(h: HornSystem) -> HornSystem:
     A pure input (no complications) just gets its implication part minimized.
     """
     u = h.universe
-    if not h.gamma.sets:
-        return HornSystem(shock_minimize(h.sigma), SetFamily(u, ()))
+    if not h.gamma:
+        return HornSystem(shock_minimize(h.sigma), h.gamma)
     lift = [(m, u.full_mask) for m in h.gamma.masks()]
     sigma0 = shock_minimize(ImplicationSet.from_pairs(u, h.sigma.mask_pairs() + lift))
-    return HornSystem(sigma0, SetFamily(u, (u.full(),)))
+    return HornSystem(sigma0, SetFamily.from_masks(u, (u.full_mask,)))

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from hornkit import (
+    AttrSet,
     Implication,
     ImplicationSet,
     InvariantError,
@@ -140,7 +141,7 @@ class TestParsing:
 
 class TestParseErrorText:
     """The exact ParseError message of each malformed line, through every
-    parser that reads implication lines."""
+    parser that reads implication or family lines."""
 
     U3 = uni(3)
 
@@ -167,6 +168,19 @@ class TestParseErrorText:
         want = "second 'elements:' header: 'elements: 1 2'"
         assert self.message(parse_implications, "1 -> 2\nelements: 1 2", self.U3) == want
         assert self.message(load_implications, "elements: 1 2 3\n1 -> 2\nelements: 1 2\n") == want
+        assert self.message(parse_family, "1 2\nelements: 1 2", self.U3) == want
+        assert self.message(load_family, "elements: 1 2 3\n1\nelements: 1 2\n") == want
+
+    @pytest.mark.parametrize("line, want", [
+        ("1 9", "unknown label '9'"),
+        ("9", "unknown label '9'"),
+        ("- 1", "unknown label '-'"),
+        ("1 -", "unknown label '-'"),
+        ("- -", "unknown label '-'"),
+    ])
+    def test_family_line_errors(self, line, want):
+        assert self.message(parse_family, f"1 2\n-\n{line}\n", self.U3) == want
+        assert self.message(load_family, f"elements: 1 2 3\n{line}\n") == want
 
 
 class TestRuleSetValue:
@@ -248,9 +262,116 @@ class TestRuleSetValue:
                 assert a.mask_pairs() == b.mask_pairs()
                 # the built objects come along; none are made for the lazy set
                 assert all(any(x is y for y in built.items) for x in b.items)
-                assert lazy._items is None
+                assert lazy._objects is None
             want = sorted(built.items, key=Implication.key)
             assert list(lazy.sorted()) == want
+
+
+class TestFamilyValue:
+    """A family is its universe and its member masks in the given order,
+    whether it was built from masks, parsed or given AttrSet objects, and
+    whether or not its AttrSet objects have been built yet."""
+
+    def families(self):
+        sizes = Counter()
+        for case in range(240):
+            rng = rng_for(22000 + case)
+            n = rng.randint(1, 12)
+            u = uni(n)
+            ms = [rand_mask(rng, n) for _ in range(rng.randint(0, 2 * n))]
+            if ms and rng.random() < 0.5:  # duplicates and the empty set
+                ms += [rng.choice(ms), 0]
+            sizes["dup" if len(set(ms)) < len(ms) else "distinct"] += 1
+            yield u, ms
+        assert min(sizes.values()) >= 60
+
+    def test_both_builders_agree(self):
+        for u, ms in self.families():
+            canon = sorted(set(ms), key=lambda m: u.from_mask(m).key())
+            sets = tuple(u.from_mask(m) for m in canon)
+            lazy = SetFamily.from_masks(u, ms)
+            given = SetFamily(u, sets)
+            assert lazy == given and hash(lazy) == hash(given)
+            assert len(lazy) == len(given) == len(canon)
+            assert pickle.dumps(lazy) == pickle.dumps(given)
+            assert repr(lazy) == repr(given)
+            assert list(lazy) == list(given) == list(sets)
+            assert all(a is b for a, b in zip(given.sets, sets))
+            assert lazy.masks() == given.masks() == canon
+            # given order and duplicates are kept, and parsing agrees
+            kept = SetFamily(u, tuple(u.from_mask(m) for m in ms))
+            assert kept.masks() == ms and len(kept) == len(ms)
+            assert parse_family(kept.render(), u) == kept
+            assert pickle.dumps(parse_family(kept.render(), u)) == pickle.dumps(kept)
+
+    def test_repr_is_the_dataclass_text(self):
+        for u, ms in self.families():
+            f = SetFamily(u, tuple(u.from_mask(m) for m in ms))
+            sets = tuple(u.from_mask(m) for m in ms)
+            assert repr(f) == f"SetFamily(universe={u!r}, sets={sets!r})"
+        u = Universe("a b".split())
+        want = "SetFamily(universe=Universe(a b), sets=({a b},))"
+        assert repr(SetFamily.from_masks(u, [3])) == want
+        assert repr(SetFamily(u, ())) == "SetFamily(universe=Universe(a b), sets=())"
+
+    def test_pickle_and_deepcopy_before_and_after_sets(self):
+        for u, ms in self.families():
+            f = parse_family(SetFamily(u, tuple(u.from_mask(m) for m in ms)).render(), u)
+            before = pickle.dumps(f)
+            for _ in range(2):
+                for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+                    assert back == f and hash(back) == hash(f)
+                    assert back.masks() == ms and back.render() == f.render()
+                    assert list(back) == list(f)
+                assert pickle.dumps(f) == before
+                assert len(f.sets) == len(ms)
+
+    def test_out_of_universe_mask_refused(self):
+        u = uni(3)
+        for m in (0b1000, 0b1111, -1):
+            with pytest.raises(UniverseMismatchError, match="set has members outside its universe"):
+                SetFamily.from_masks(u, [1, m])
+
+    def test_assignment_refused(self):
+        f = SetFamily.from_masks(uni(2), [1, 2])
+        for name in ("sets", "universe", "_masks"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, name)
+        assert f.masks() == [1, 2] and f.universe == uni(2)
+
+    def test_antichain_matches_definition(self):
+        for u, ms in self.families():
+            f = SetFamily(u, tuple(u.from_mask(m) for m in ms))
+            want = not any(
+                i != j and a & ~b == 0 for i, a in enumerate(ms) for j, b in enumerate(ms)
+            )
+            assert f.is_antichain == want
+            assert f.minimize().is_antichain and f.maximize().is_antichain
+
+    def test_mask_paths_build_no_attrset(self, monkeypatch):
+        built = Counter()
+        real = AttrSet.__post_init__
+
+        def counting(self):
+            built[self.mask] += 1
+            real(self)
+
+        monkeypatch.setattr(AttrSet, "__post_init__", counting)
+        for u, ms in self.families():
+            text = f"elements: {' '.join(u.labels)}\n" + u.lines(ms)
+            _, f = load_family(text)
+            lazy = SetFamily.from_masks(u, ms)
+            for g in (f, lazy, f.minimize(), f.maximize(), lazy.minimize()):
+                g.masks()
+                g.as_mask_set()
+                g.render()
+                assert g.is_antichain in (True, False)
+                assert g._objects is None
+            assert f.masks() == ms
+        assert not built
+        assert len(lazy.sets) == len(set(ms)) and sum(built.values()) == len(set(ms))
 
 
 class TestMaskText:
