@@ -4,25 +4,23 @@ Shock's minimum-base algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .closure import Closure, ClosureSource, _close_columnwise, _columns, source_universe
-from .core import ImplicationSet, SetFamily, normalize
+from .core import ImplicationSet, SetFamily, _Value, normalize
 from .direct import canonical_direct
 from .errors import UniverseMismatchError
 
 
-@dataclass(frozen=True, slots=True)
-class PseudoclosedReport:
+class PseudoclosedReport(_Value):
     """All pseudoclosed sets plus their closures (the essential closed sets)."""
 
-    pseudoclosed: SetFamily
-    essential_closures: SetFamily
+    __slots__ = _fields = ("pseudoclosed", "essential_closures")
 
-    def __post_init__(self) -> None:
-        if self.pseudoclosed.universe != self.essential_closures.universe:
+    def __init__(self, pseudoclosed: SetFamily, essential_closures: SetFamily):
+        if pseudoclosed.universe != essential_closures.universe:
             raise UniverseMismatchError("report families in different universes")
+        self._init(pseudoclosed, essential_closures)
 
 
 def _leave_one_out(sigma: ImplicationSet) -> Iterator[tuple[int, int]]:

@@ -13,7 +13,6 @@ reads max(F,e) off the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Union
 
@@ -24,6 +23,7 @@ from .core import (
     Implication,
     SetFamily,
     Universe,
+    _Value,
     bits,
     submasks,
 )
@@ -241,11 +241,13 @@ def source_universe(source: ClosureSource) -> Universe:
     return source.universe
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureTrace:
+class ClosureTrace(_Value):
     """The chain S, S', S'', ... ending with the repeated fixpoint."""
 
-    rounds: tuple[AttrSet, ...]
+    __slots__ = _fields = ("rounds",)
+
+    def __init__(self, rounds: tuple[AttrSet, ...]):
+        self._init(rounds)
 
     @property
     def closure(self) -> AttrSet:

@@ -6,11 +6,18 @@ universes beyond 64 elements cost nothing extra), which keeps all the set
 algebra in the closure algorithms word-parallel. Rule sets hold mask
 pairs and families hold masks: parsing maps labels straight to bits, and
 ``Implication`` and ``AttrSet`` objects are built only when asked for.
+
+The package's value types, ``Universe`` aside, are plain ``__slots__``
+classes on one frozen base, ``_Value``: eq, hash, repr and pickling over
+their fields, and instances that refuse assignment. The rule set and the
+family extend it through ``_MaskTuple``, whose value is its masks. Each
+class writes its own ``__init__`` (``AttrSet`` and ``Implication`` also
+their eq and hash), so no code is generated at import and the CLI starts
+without the ``dataclasses`` module.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantError, ParseError, UniverseMismatchError
@@ -287,16 +294,86 @@ def _set_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(bits(mask)))
 
 
-@dataclass(frozen=True, slots=True)
-class AttrSet:
+_set = object.__setattr__
+
+
+def _frozen(text: str) -> Exception:
+    # imported here, on the raising path only: ``dataclasses`` pulls in
+    # ``inspect`` and ``ast``, a sizeable share of the CLI's start-up
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(text)
+
+
+class _Value:
+    """A frozen value: the slots named by ``_fields``, set once by the
+    subclass's ``__init__`` through ``object.__setattr__``.
+
+    Eq and hash compare the field tuple of two instances of one class
+    (``NotImplemented`` against any other class), repr shows the fields as
+    ``Name(field=value, ...)``, pickles and copies rebuild the value through
+    ``__init__``, ``__match_args__`` lists the fields, and assignment and
+    deletion raise ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        """What eq, hash and pickles read: the fields, in order."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class AttrSet(_Value):
     """Subset of a universe, equal iff same universe and same members."""
 
-    universe: Universe
-    mask: int
+    __slots__ = _fields = ("universe", "mask")
 
-    def __post_init__(self) -> None:
-        if self.mask & ~self.universe.full_mask:
+    def __init__(self, universe: Universe, mask: int):
+        if mask & ~universe.full_mask:
             raise UniverseMismatchError("set has members outside its universe")
+        _set(self, "universe", universe)
+        _set(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and (
+            self.universe is other.universe or self.universe == other.universe
+        )
+
+    def __hash__(self) -> int:
+        # the hash of (universe, mask), as hash(universe) is hash(labels),
+        # without a call into Universe.__hash__
+        return hash((self.universe.labels, self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -305,7 +382,7 @@ class AttrSet:
         return bits(self.mask)
 
     def __contains__(self, pos: int) -> bool:
-        return bool(self.mask >> pos & 1)
+        return pos >= 0 and bool(self.mask >> pos & 1)
 
     def __or__(self, other: AttrSet) -> AttrSet:
         return AttrSet(self.universe, self.mask | self._mate(other))
@@ -342,16 +419,24 @@ class AttrSet:
         return f"{{{self.render()}}}"
 
 
-@dataclass(frozen=True, slots=True)
-class Implication:
+class Implication(_Value):
     """Premise/conclusion pair; either side may be empty."""
 
-    premise: AttrSet
-    conclusion: AttrSet
+    __slots__ = _fields = ("premise", "conclusion")
 
-    def __post_init__(self) -> None:
-        if self.premise.universe != self.conclusion.universe:
+    def __init__(self, premise: AttrSet, conclusion: AttrSet):
+        if premise.universe != conclusion.universe:
             raise UniverseMismatchError("implication sides in different universes")
+        _set(self, "premise", premise)
+        _set(self, "conclusion", conclusion)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.premise == other.premise and self.conclusion == other.conclusion
+
+    def __hash__(self) -> int:
+        return hash((self.premise, self.conclusion))
 
     @property
     def universe(self) -> Universe:
@@ -379,13 +464,13 @@ def _implication(universe: Universe, pair: tuple[int, int]) -> Implication:
     return Implication(AttrSet(universe, pair[0]), AttrSet(universe, pair[1]))
 
 
-class _MaskTuple:
-    """A frozen value over one universe: one tuple ``_masks`` of masks (a
-    family) or mask pairs (a rule set), in the given order, read by eq,
-    hash, pickles and every mask query. The objects (``AttrSet``s or
-    ``Implication``s) are built on first read or iteration, then kept; an
-    instance made from objects keeps them. Assignment raises
-    ``dataclasses.FrozenInstanceError``."""
+class _MaskTuple(_Value):
+    """A frozen value over one universe whose value is one tuple ``_masks``
+    of masks (a family) or mask pairs (a rule set), in the given order:
+    eq, hash, pickles and every mask query read the masks. The objects
+    (``AttrSet``s or ``Implication``s, the field that repr shows beside
+    the universe) are built on first read or iteration, then kept; an
+    instance made from objects keeps them."""
 
     __slots__ = ("universe", "_masks", "_objects", "_compiled")
 
@@ -396,16 +481,14 @@ class _MaskTuple:
     #: ("row", "column" and "lin" for rules, "family" for a family); not
     #: part of the value, so it stays out of eq, hash, repr and pickles
     _compiled: dict | None
-    #: the objects' field name, and their builder from (universe, entry)
-    _field: str
+    #: the objects' builder from (universe, entry)
     _object: Callable
 
     def _fill(self, universe: Universe, masks: tuple, objects: tuple | None):
-        setter = object.__setattr__
-        setter(self, "universe", universe)
-        setter(self, "_masks", masks)
-        setter(self, "_objects", objects)
-        setter(self, "_compiled", None)
+        _set(self, "universe", universe)
+        _set(self, "_masks", masks)
+        _set(self, "_objects", objects)
+        _set(self, "_compiled", None)
         return self
 
     @classmethod
@@ -417,29 +500,14 @@ class _MaskTuple:
         objects = self._objects
         if objects is None:
             objects = tuple([self._object(self.universe, m) for m in self._masks])
-            object.__setattr__(self, "_objects", objects)
+            _set(self, "_objects", objects)
         return objects
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def _values(self) -> tuple:
+        return (self.universe, self._masks)
 
     def __reduce__(self):
-        return (self._of, (self.universe, self._masks))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.universe == other.universe and self._masks == other._masks
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self._masks))
-
-    def __repr__(self) -> str:
-        name = type(self).__qualname__
-        return f"{name}(universe={self.universe!r}, {self._field}={self._kept()!r})"
+        return (self._of, self._values())
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -453,7 +521,7 @@ class ImplicationSet(_MaskTuple):
     item order only matters for ordered evaluation."""
 
     __slots__ = ()
-    _field = "items"
+    _fields = ("universe", "items")
     _object = staticmethod(_implication)
     items = property(_MaskTuple._kept, doc="The rules as ``Implication``s, built on first use.")
 
@@ -507,7 +575,7 @@ class SetFamily(_MaskTuple):
     kept; used for generating families and hypergraphs."""
 
     __slots__ = ()
-    _field = "sets"
+    _fields = ("universe", "sets")
     _object = AttrSet
     sets = property(_MaskTuple._kept, doc="The members as ``AttrSet``s, built on first use.")
 
@@ -548,18 +616,15 @@ class SetFamily(_MaskTuple):
         return self.universe.lines(self._masks)
 
 
-@dataclass(frozen=True, slots=True)
-class MeasureReport:
+class MeasureReport(_Value):
     """Size measures of an implication family."""
 
-    ca: int
-    s: int
-    lhs: int
-    rhs: int
+    __slots__ = _fields = ("ca", "s", "lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.s != self.lhs + self.rhs:
-            raise InvariantError(f"s={self.s} is not lhs+rhs={self.lhs + self.rhs}")
+    def __init__(self, ca: int, s: int, lhs: int, rhs: int):
+        if s != lhs + rhs:
+            raise InvariantError(f"s={s} is not lhs+rhs={lhs + rhs}")
+        self._init(ca, s, lhs, rhs)
 
 
 # -- parsing ---------------------------------------------------------------

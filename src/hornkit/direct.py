@@ -4,8 +4,6 @@ the D-basis ordering, and one-pass ordered closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import Closure, ClosureSource, source_universe
 from .core import (
     EXHAUSTIVE_LIMIT,
@@ -13,6 +11,8 @@ from .core import (
     Implication,
     ImplicationSet,
     Universe,
+    _set,
+    _Value,
     bits,
 )
 from .dualize import StemTable
@@ -57,12 +57,14 @@ def canonical_direct(source: ClosureSource) -> ImplicationSet:
     return stem_table(source).direct_base()
 
 
-@dataclass(frozen=True, slots=True)
-class StemClassification:
+class StemClassification(_Value):
     """Per-stem flags: strong, and the roots it is closure-minimal for."""
 
-    strong: bool
-    closure_minimal_for: AttrSet
+    __slots__ = _fields = ("strong", "closure_minimal_for")
+
+    def __init__(self, strong: bool, closure_minimal_for: AttrSet):
+        _set(self, "strong", strong)
+        _set(self, "closure_minimal_for", closure_minimal_for)
 
 
 def classify_stems(
@@ -88,21 +90,19 @@ def classify_stems(
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class OrderedBase:
+class OrderedBase(_Value):
     """Unit implications to apply once, left to right: binary prefix first,
     then the order-minimal block."""
 
-    universe: Universe
-    items: tuple[Implication, ...]
-    binary_count: int
+    __slots__ = _fields = ("universe", "items", "binary_count")
 
-    def __post_init__(self) -> None:
-        if any(imp.universe != self.universe for imp in self.items):
+    def __init__(self, universe: Universe, items: tuple[Implication, ...], binary_count: int):
+        if any(imp.universe != universe for imp in items):
             raise UniverseMismatchError("implication outside the base's universe")
-        for imp in self.items[: self.binary_count]:
+        for imp in items[:binary_count]:
             if len(imp.premise) > 1:
                 raise InvariantError(f"binary prefix holds {imp.render()}")
+        self._init(universe, items, binary_count)
 
     def binary_part(self) -> tuple[Implication, ...]:
         return self.items[: self.binary_count]

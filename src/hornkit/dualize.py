@@ -5,7 +5,6 @@ extraction, and minimal keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .closure import ClosureSource, flat_rows, lectic_masks, source_universe
@@ -14,6 +13,7 @@ from .core import (
     ImplicationSet,
     SetFamily,
     Universe,
+    _Value,
     bits,
     extreme_masks,
 )
@@ -105,20 +105,22 @@ def _stem_masks(tops: list[tuple[int, int]], e: int, full: int) -> list[int]:
     return _transversal_masks(edges)
 
 
-@dataclass(frozen=True, slots=True)
-class StemTable:
+class StemTable(_Value):
     """stems(e) per element and roots(U) per stem."""
 
-    universe: Universe
-    stems_of: dict[int, SetFamily]  # position -> antichain of stems
-    roots_of: dict[AttrSet, AttrSet]  # stem -> its roots
+    __slots__ = _fields = ("universe", "stems_of", "roots_of")
 
-    def __post_init__(self) -> None:
-        u = self.universe
-        if any(f.universe != u for f in self.stems_of.values()) or any(
-            s.universe != u or r.universe != u for s, r in self.roots_of.items()
+    def __init__(
+        self,
+        universe: Universe,
+        stems_of: dict[int, SetFamily],  # position -> antichain of stems
+        roots_of: dict[AttrSet, AttrSet],  # stem -> its roots
+    ):
+        if any(f.universe != universe for f in stems_of.values()) or any(
+            s.universe != universe or r.universe != universe for s, r in roots_of.items()
         ):
             raise UniverseMismatchError("stem table entry outside its universe")
+        self._init(universe, stems_of, roots_of)
 
     def direct_base(self) -> ImplicationSet:
         """The canonical direct base {X -> roots(X) : X a stem}."""
@@ -156,18 +158,17 @@ def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
     return SetFamily.from_masks(u, _max_avoiding(_row_tops(source), e))
 
 
-@dataclass(frozen=True, slots=True)
-class MaxNonCover:
+class MaxNonCover(_Value):
     """max(F,e) and its complement family cmax(F,e) for every element."""
 
-    universe: Universe
-    max_of: dict[int, SetFamily]
-    cmax_of: dict[int, SetFamily]
+    __slots__ = _fields = ("universe", "max_of", "cmax_of")
 
-    def __post_init__(self) -> None:
-        u = self.universe
-        if any(f.universe != u for f in (*self.max_of.values(), *self.cmax_of.values())):
+    def __init__(
+        self, universe: Universe, max_of: dict[int, SetFamily], cmax_of: dict[int, SetFamily]
+    ):
+        if any(f.universe != universe for f in (*max_of.values(), *cmax_of.values())):
             raise UniverseMismatchError("max(F,e) table entry outside its universe")
+        self._init(universe, max_of, cmax_of)
 
 
 def max_noncover_table(source: ClosedSource) -> MaxNonCover:

@@ -5,30 +5,28 @@ operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import remove_redundancy
 from .closure import _kernel
-from .core import AttrSet, Implication, ImplicationSet, Universe, bits
+from .core import AttrSet, Implication, ImplicationSet, Universe, _set, _Value, bits
 from .dualize import StemTable
 from .errors import HornkitError, NotAcyclicError, UniverseMismatchError
 
 
-@dataclass(frozen=True, slots=True)
-class HornClause:
+class HornClause(_Value):
     """A clause with negated literals `negatives` and at most one positive.
 
     positive is None exactly for negative (impure) clauses.
     """
 
-    negatives: AttrSet
-    positive: int | None
+    __slots__ = _fields = ("negatives", "positive")
 
-    def __post_init__(self) -> None:
-        if self.positive is not None:
-            self.universe._check_position(self.positive)
-        if self.positive is not None and self.positive in self.negatives:
-            raise HornkitError("positive literal also occurs negated")
+    def __init__(self, negatives: AttrSet, positive: int | None):
+        if positive is not None:
+            negatives.universe._check_position(positive)
+            if positive in negatives:
+                raise HornkitError("positive literal also occurs negated")
+        _set(self, "negatives", negatives)
+        _set(self, "positive", positive)
 
     @property
     def universe(self) -> Universe:
@@ -169,13 +167,17 @@ def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) 
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class ImplicationGraph:
+class ImplicationGraph(_Value):
     """Digraph on universe positions with an arc a -> b per implication
-    having a in the premise and b in the conclusion."""
+    having a in the premise and b in the conclusion; ``succ[a]`` is the mask
+    of the arc targets of a."""
 
-    universe: Universe
-    succ: tuple[int, ...]  # succ[a] = mask of arc targets
+    __slots__ = _fields = ("universe", "succ")
+
+    def __init__(self, universe: Universe, succ: tuple[int, ...]):
+        if len(succ) != universe.size or any(t & ~universe.full_mask for t in succ):
+            raise UniverseMismatchError("graph arcs outside its universe")
+        self._init(universe, succ)
 
     @classmethod
     def from_sigma(cls, sigma: ImplicationSet) -> ImplicationGraph:
@@ -217,6 +219,7 @@ class ImplicationGraph:
         return None
 
     def reachable_from(self, a: int) -> int:
+        self.universe._check_position(a)
         seen = 1 << a
         frontier = self.succ[a]
         while frontier & ~seen:

@@ -9,7 +9,6 @@ engines; this module wraps its plain tuples in checked ``Row012n`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
@@ -29,27 +28,31 @@ from .core import (
     ImplicationSet,
     SetFamily,
     Universe,
+    _set,
+    _Value,
     submasks,
 )
 from .errors import UniverseMismatchError
 
 
-@dataclass(frozen=True, slots=True)
-class Row012n:
+class Row012n(_Value):
     """One block of subsets: fixed-absent, fixed-present and free positions,
     plus bubbles demanding at least one absent position each.
 
     The four masks partition the universe; every bubble spans >= 2 positions.
     """
 
-    universe: Universe
-    ones: int
-    zeros: int
-    free: int
-    bubbles: tuple[int, ...]
+    __slots__ = _fields = ("universe", "ones", "zeros", "free", "bubbles")
 
-    def __post_init__(self) -> None:
-        self.universe.check_row(self._tuple())
+    def __init__(
+        self, universe: Universe, ones: int, zeros: int, free: int, bubbles: tuple[int, ...]
+    ):
+        universe.check_row((ones, zeros, free, bubbles))
+        _set(self, "universe", universe)
+        _set(self, "ones", ones)
+        _set(self, "zeros", zeros)
+        _set(self, "free", free)
+        _set(self, "bubbles", bubbles)
 
     def count(self) -> int:
         """Number of subsets: a k-position bubble contributes 2^k - 1."""
@@ -85,16 +88,15 @@ class Row012n:
         return self.ones, self.zeros, self.free, self.bubbles
 
 
-@dataclass(frozen=True, slots=True)
-class RowSystem:
+class RowSystem(_Value):
     """Disjoint rows jointly denoting a set of subsets."""
 
-    universe: Universe
-    rows: tuple[Row012n, ...]
+    __slots__ = _fields = ("universe", "rows")
 
-    def __post_init__(self) -> None:
-        if any(r.universe != self.universe for r in self.rows):
+    def __init__(self, universe: Universe, rows: tuple[Row012n, ...]):
+        if any(r.universe != universe for r in rows):
             raise UniverseMismatchError("row outside the system's universe")
+        self._init(universe, rows)
 
     def count(self) -> int:
         return sum(r.count() for r in self.rows)
@@ -176,21 +178,19 @@ def to_012(rows: RowSystem) -> RowSystem:
     return _system(rows.universe, expand_rows(_tuples(rows)))
 
 
-@dataclass(frozen=True, slots=True)
-class HornSystem:
+class HornSystem(_Value):
     """Implications plus complications: an impure Horn function f ∧ g.
 
     The complication family is normalized to the unique antichain with the
     same noncovers.
     """
 
-    sigma: ImplicationSet
-    gamma: SetFamily
+    __slots__ = _fields = ("sigma", "gamma")
 
-    def __post_init__(self) -> None:
-        if self.sigma.universe != self.gamma.universe:
+    def __init__(self, sigma: ImplicationSet, gamma: SetFamily):
+        if sigma.universe != gamma.universe:
             raise UniverseMismatchError("sigma and gamma in different universes")
-        object.__setattr__(self, "gamma", self.gamma.minimize())
+        self._init(sigma, gamma.minimize())
 
     @property
     def universe(self) -> Universe:

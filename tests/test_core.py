@@ -352,13 +352,13 @@ class TestFamilyValue:
 
     def test_mask_paths_build_no_attrset(self, monkeypatch):
         built = Counter()
-        real = AttrSet.__post_init__
+        real = AttrSet.__init__
 
-        def counting(self):
-            built[self.mask] += 1
-            real(self)
+        def counting(self, universe, mask):
+            built[mask] += 1
+            real(self, universe, mask)
 
-        monkeypatch.setattr(AttrSet, "__post_init__", counting)
+        monkeypatch.setattr(AttrSet, "__init__", counting)
         for u, ms in self.families():
             text = f"elements: {' '.join(u.labels)}\n" + u.lines(ms)
             _, f = load_family(text)

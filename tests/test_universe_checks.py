@@ -17,6 +17,7 @@ from hornkit import (
     HornClause,
     HornSystem,
     Implication,
+    ImplicationGraph,
     ImplicationSet,
     MaxNonCover,
     OrderedBase,
@@ -123,6 +124,8 @@ CASES = {
 #: case name -> call with an element position ``e`` of a source over ``u``
 POSITION_CASES = {
     "HornClause": lambda u, e: HornClause(u.empty(), e),
+    "ImplicationGraph.reachable_from":
+        lambda u, e: ImplicationGraph.from_sigma(sigma(u)).reachable_from(e),
     "cmax_from_stems": lambda u, e: cmax_from_stems(stem_table(sigma(u)), e),
     "max_noncovers.sigma": lambda u, e: max_noncovers(sigma(u), e),
     "max_noncovers.family": lambda u, e: max_noncovers(family(u), e),
@@ -132,7 +135,7 @@ POSITION_CASES = {
 #: callable exports taking at most one universe-bearing argument (a
 #: universe beside text, masks or a kernel does not count)
 SINGLE = {
-    "Universe", "ClosureTrace", "ImplicationGraph", "MeasureReport", "StemClassification",
+    "Universe", "ClosureTrace", "MeasureReport", "StemClassification",
     "acyclic_base", "aggregate", "canonical_direct", "clauses_of", "count", "d_basis",
     "enumerate_closed_lectic", "enumerate_compact", "enumerate_horn", "enumerate_horn_lectic",
     "gd_base", "horn_satisfiable", "is_acyclic", "is_minimum", "load_family",
@@ -185,3 +188,18 @@ def test_refused_row_system_and_base_answer_nothing():
     with pytest.raises(UniverseMismatchError):
         OrderedBase(AB, (rule(OTHERS["labels"]),), 0)
     assert not Row012n(AB, 1, 2, 0, ()).intersects(Row012n(AB, 2, 1, 0, ()))
+
+
+@pytest.mark.parametrize("succ", [(0,), (0, 0, 0), (0, 4), (1, -1)])
+def test_graph_arcs_outside_universe_refused(succ):
+    # unchecked, find_cycle indexes past the successor tuple
+    with pytest.raises(UniverseMismatchError):
+        ImplicationGraph(AB, succ)
+    assert ImplicationGraph(AB, (2, 1)).find_cycle() == (0, 1, 0)
+
+
+def test_membership_outside_universe_is_false():
+    s = AB.full()
+    assert 0 in s and 1 in s
+    for pos in (AB.size, -1, -AB.size, 1 << 70, -(1 << 70)):
+        assert pos not in s
