@@ -26,20 +26,40 @@ class PseudoclosedReport(_Value):
 def _leave_one_out(sigma: ImplicationSet) -> Iterator[tuple[int, int]]:
     """(i, closure of premise i under the other rules) for each rule i, left
     to right, that they do not entail; an entailed rule is dropped for good.
-    Rule i is knocked out by a conclusion of 0 while its own check runs."""
-    occ, need, concs, axioms = _columns(sigma)
-    empty = [j for j, k in enumerate(need) if not k]
-    for i, (prem, conc) in enumerate(sigma.mask_pairs()):
+
+    Rule i is knocked out by a conclusion of 0 while its own check runs.
+    A rule with an empty or one-element premise also fires through the
+    union axioms or unit[q] of its premise, which is rebuilt from the
+    other live rules on that premise, and takes the rule's conclusion
+    back when it survives.
+    """
+    occ, unit, need, concs, axioms = _columns(sigma)
+    pairs = sigma.mask_pairs()
+    # the rules on each empty or one-element premise, by premise mask
+    short: dict[int, list[int]] = {}
+    for j, (prem, _) in enumerate(pairs):
+        if not prem & (prem - 1):
+            short.setdefault(prem, []).append(j)
+    for i, (prem, conc) in enumerate(pairs):
         concs[i] = 0
-        if not prem:
-            axioms = 0
-            for j in empty:
-                axioms |= concs[j]
-        closed = _close_columnwise((occ, need, concs, axioms), conc, prem)
+        rest = short.get(prem)
+        if rest:
+            q = prem.bit_length() - 1
+            union = 0
+            for j in rest:
+                union |= concs[j]
+            if prem:
+                unit[q] = union
+            else:
+                axioms = union
+        closed = _close_columnwise((occ, unit, need, concs, axioms), conc, prem)
         if conc & ~closed:
             concs[i] = conc
-            if not prem:
-                axioms |= conc
+            if rest:
+                if prem:
+                    unit[q] |= conc
+                else:
+                    axioms |= conc
             yield i, closed
 
 

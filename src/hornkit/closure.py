@@ -32,7 +32,8 @@ from .errors import BoundExceededError, UniverseMismatchError
 ClosureSource = Union[ImplicationSet, SetFamily, "Closure"]
 
 Pairs = list[tuple[int, int]]
-Columns = tuple[list[list[int]], list[int], list[int], int]
+# (occ, unit, need, concs, axioms), as ``_columns`` builds them
+Columns = tuple[list[list[int]], list[int], Union[bytearray, list[int]], list[int], int]
 
 
 def _rounds(pairs: Pairs, mask: int) -> Iterator[int]:
@@ -66,17 +67,19 @@ def _close_columnwise(cols: Columns, stop: int, mask: int) -> int:
     test, stop ⊆ c(mask), passes stop as the target and reads the answer
     off ``stop & ~result == 0``; a closure passes stop = E.
 
-    occ[p] lists the rules whose premise contains position p, and need[i]
-    counts the premise positions of rule i; axioms unites the conclusions
-    of the empty-premise rules. The positions join in layers, and each
-    position is visited once, when its layer is taken: a rule fires when
-    its last premise position is visited. The conclusions of the rules
-    that fire in a layer are united into one mask, and its positions not
-    yet closed make the next layer. The loop returns before a layer once
-    the set holds stop; cols is (occ, need, concs, axioms).
+    The positions join in layers, and each position is visited once, when
+    its layer is taken: the rules with the one-element premise {p} fire
+    when p is visited, through unit[p], and a longer premise fires when
+    its last position is visited, when its counter in ``left`` reaches 0.
+    The counters are one copy of need per call (one memcpy for a
+    bytearray), so the compiled cols are never written. The conclusions
+    of the rules that fire in a layer are united into one mask, and its
+    positions not yet closed make the next layer. The loop returns before
+    a layer once the set holds stop; cols is (occ, unit, need, concs,
+    axioms), as ``_columns`` builds it.
     """
-    occ, need, concs, axioms = cols
-    left = need.copy()
+    occ, unit, need, concs, axioms = cols
+    left = need[:]
     closed = mask | axioms
     todo = closed
     while todo:
@@ -86,9 +89,14 @@ def _close_columnwise(cols: Columns, stop: int, mask: int) -> int:
         while todo:
             low = todo & -todo
             todo ^= low
-            for i in occ[low.bit_length() - 1]:
-                left[i] -= 1
-                if not left[i]:
+            p = low.bit_length() - 1
+            u = unit[p]
+            if u:
+                new |= u
+            for i in occ[p]:
+                c = left[i] - 1
+                left[i] = c
+                if not c:
                     new |= concs[i]
         todo = new & ~closed
         closed |= todo
@@ -96,18 +104,40 @@ def _close_columnwise(cols: Columns, stop: int, mask: int) -> int:
 
 
 def _columns(sigma: ImplicationSet) -> Columns:
-    """The compiled rules that ``_close_columnwise`` reads."""
+    """The compiled rules that ``_close_columnwise`` reads: (occ, unit,
+    need, concs, axioms).
+
+    Rule i has conclusion concs[i] and premise size need[i]. axioms unites
+    the conclusions of the empty-premise rules, and unit[p] those of the
+    rules whose premise is {p}. occ[p] lists the rules whose premise holds
+    p and at least one more position: only they need a counter.
+
+    need is a bytearray on a universe of 256 or more positions, where a
+    call often stops after a small share of the positions: copying it is
+    one memcpy, where copying a list takes a reference to every counter.
+    On a smaller universe a call visits a large share of it, and list
+    counters, which CPython reads and writes faster, repay their copy;
+    need is a list there, and also when a premise has 256 or more
+    positions, which a byte cannot count.
+    """
+    n = sigma.universe.size
     pairs = sigma.mask_pairs()
-    occ: list[list[int]] = [[] for _ in range(sigma.universe.size)]
+    occ: list[list[int]] = [[] for _ in range(n)]
+    unit = [0] * n
     axioms = 0
     for i, (prem, conc) in enumerate(pairs):
-        if not prem:
+        if prem & (prem - 1):
+            while prem:
+                low = prem & -prem
+                occ[low.bit_length() - 1].append(i)
+                prem ^= low
+        elif prem:
+            unit[prem.bit_length() - 1] |= conc
+        else:
             axioms |= conc
-        for p in bits(prem):
-            occ[p].append(i)
-    need = [prem.bit_count() for prem, _ in pairs]
-    concs = [conc for _, conc in pairs]
-    return occ, need, concs, axioms
+    counts = [prem.bit_count() for prem, _ in pairs]
+    need = bytearray(counts) if n >= 256 and max(counts, default=0) < 256 else counts
+    return occ, unit, need, [conc for _, conc in pairs], axioms
 
 
 def _close_family(full: int, every: int, cols: list[int], mask: int) -> int:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -327,6 +328,58 @@ class TestRemoveRedundancy:
             got = {c.of_mask(i.premise.mask) for i in nr}
             want = {x.mask for x in pseudoclosed_sets(s).essential_closures}
             assert got == want
+
+
+class TestSharedShortPremises:
+    """The leave-one-out pass knocks a rule with an empty or one-element
+    premise out of the union its premise fires, and puts it back when the
+    rule survives: the rules left on that premise keep their conclusions."""
+
+    @staticmethod
+    def check(n: int, pairs: list[tuple[int, int]]) -> None:
+        u = uni(n)
+        s = ImplicationSet.from_pairs(u, pairs)
+        closed = brute_closed_masks(n, s)
+        kept = remove_redundancy(s)
+        assert kept.mask_pairs() == [pairs[i] for i in brute_redundancy_survivors(pairs)]
+        assert brute_closed_masks(n, kept) == closed
+        mini = shock_minimize(s)
+        assert brute_closed_masks(n, mini) == closed
+        assert len(mini) == len(brute_pseudoclosed(n, closed))
+        _check_against_oracle(s, n, closed)
+
+    def test_three_rules_on_one_position_in_every_order(self):
+        # 1 -> 2, 1 -> 2 3 and 1 -> 3 as masks, then with rules that
+        # reach or leave position 1 through other premises
+        rules = [(1, 2), (1, 6), (1, 4)]
+        for extra in ([], [(2, 8)], [(0, 1)], [(6, 8), (8, 1)], [(0, 2), (1, 0)]):
+            for order in permutations(rules):
+                self.check(4, list(order) + extra)
+                self.check(4, extra + list(order))
+        u = uni(4)
+        got = remove_redundancy(sig(u, "1 -> 2", "1 -> 2 3", "1 -> 3"))
+        assert pairs(got) == pairs(sig(u, "1 -> 2 3"))
+        got = remove_redundancy(sig(u, "1 -> 3", "1 -> 2", "-> 4", "1 -> 2 3"))
+        assert pairs(got) == pairs(sig(u, "-> 4", "1 -> 2 3"))
+
+    def test_seeded_theories_with_a_crowded_position(self):
+        for case in range(150):
+            rng = rng_for(43700 + case)
+            n = rng.randint(2, 7)
+            hub = 1 << rng.randrange(n)
+            pairs = []
+            for _ in range(rng.randint(1, 3 * n)):
+                r = rng.random()
+                if r < 0.4:
+                    prem = hub
+                elif r < 0.6:
+                    prem = 1 << rng.randrange(n)
+                elif r < 0.7:
+                    prem = 0
+                else:
+                    prem = rand_mask(rng, n)
+                pairs.append((prem, rand_mask(rng, n)))
+            self.check(n, pairs)
 
 
 class TestShock:

@@ -1,5 +1,8 @@
 import copy
 import pickle
+import sys
+import threading
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -32,7 +35,7 @@ from hornkit import (
     step,
 )
 import hornkit.closure as closure_module
-from hornkit.closure import _close_columnwise, _columns, lectic_masks
+from hornkit.closure import _close_columnwise, _columns, _kernel, lectic_masks
 
 from conftest import (
     EQ15,
@@ -288,6 +291,142 @@ class TestWideKernels:
             1 << 10,
             want,
         ]
+
+
+class TestCounterLayout:
+    """The compiled LinClosure layout on its edge cases: empty premises,
+    one-element premises, which fire through unit[p] with no counter
+    (several of them on one position), repeated rules, conclusions that
+    overlap their premises, and premises too long for a byte counter."""
+
+    WIDE = Universe(tuple(f"x{i}" for i in range(256)))
+
+    def test_seeded_edge_theories_match_the_oracle(self):
+        special = ("empty premise", "one element", "shared element", "repeat", "overlap")
+        seen = Counter()
+        for case in range(300):
+            rng = rng_for(43000 + case)
+            n = rng.randint(1, 10)
+            u = uni(n)
+            hub = 1 << rng.randrange(n)
+            pairs = []
+            for _ in range(rng.randint(0, 3 * n)):
+                kind = rng.choice(special + ("random",))
+                if kind == "repeat" and not pairs:
+                    kind = "random"
+                prem = rand_mask(rng, n)
+                conc = rand_mask(rng, n)
+                if kind == "empty premise":
+                    prem = 0
+                elif kind == "one element":
+                    prem = 1 << rng.randrange(n)
+                elif kind == "shared element":
+                    prem = hub
+                elif kind == "repeat":
+                    prem, conc = rng.choice(pairs)
+                elif kind == "overlap":
+                    conc |= prem & rand_mask(rng, n)
+                seen[kind] += 1
+                pairs.append((prem, conc))
+            s = ImplicationSet.from_pairs(u, pairs)
+            # the same rules on a 256-position universe, whose extra
+            # positions no rule names: byte counters in place of a list
+            wide = ImplicationSet.from_pairs(self.WIDE, pairs)
+            assert type(_columns(s)[2]) is list
+            assert type(_columns(wide)[2]) is bytearray
+            closed = brute_closed_masks(n, s)
+            row = Closure.from_sigma(s, "row")
+            column = Closure.from_sigma(s, "column")
+            wide_column = Closure.from_sigma(wide, "column")
+            queries = range(1 << n) if n <= 6 else [rand_mask(rng, n) for _ in range(40)]
+            for m in queries:
+                want = oracle_close(closed, u.full_mask, m)
+                assert column.of_mask(m) == row.of_mask(m) == wide_column.of_mask(m) == want
+                for target in (1 << rng.randrange(n), rand_mask(rng, n)):
+                    answer = target & ~want == 0
+                    assert entails(s, Implication(u.from_mask(m), u.from_mask(target))) == answer
+                    query = Implication(self.WIDE.from_mask(m), self.WIDE.from_mask(target))
+                    assert entails(wide, query) == answer
+        assert min(seen[k] for k in special) >= 100
+
+    def test_premises_too_long_for_a_byte(self):
+        # 255 positions still fit a byte counter; 256 and 260 need the list
+        n = 300
+        u = Universe(tuple(f"x{i}" for i in range(n)))
+        for k, kind in ((255, bytearray), (256, list), (260, list)):
+            prem = (1 << k) - 1
+            goal = 1 << 299
+            # position 5 can also come in one layer late, through 280
+            s = ImplicationSet.from_pairs(
+                u, [(prem, goal), (1 << 280, 1 << 5), (goal, 1 << 290), (1 << 5 | 1 << 7, 1 << 6)]
+            )
+            assert type(_columns(s)[2]) is kind
+            row = Closure.from_sigma(s, "row")
+            c = Closure.from_sigma(s)
+            pairs = s.mask_pairs()
+            late = prem ^ 1 << 5 | 1 << 280
+            for m, fires in ((prem, True), (prem ^ 1 << 100, False), (late, True), (prem ^ 1, False)):
+                want = naive_fixpoint(pairs, m)
+                assert c.of_mask(m) == row.of_mask(m) == want
+                assert (goal & ~want == 0) == fires
+                assert entails(s, Implication(u.from_mask(m), u.from_mask(goal))) == fires
+                assert entails(s, Implication(u.from_mask(m), u.from_mask(goal | 1 << 290))) == fires
+            assert c.of_mask(prem) == prem | goal | 1 << 290
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_shared_operator_stays_stateless(self, n):
+        # list counters on 200 positions, byte counters on 300
+        rng = rng_for(43500 + n)
+        u = Universe(tuple(f"x{i}" for i in range(n)))
+        pairs = []
+        for _ in range(3 * n):
+            prem = sum(1 << p for p in rng.sample(range(n), rng.randint(1, 3)))
+            pairs.append((prem, 1 << rng.randrange(n)))
+        s = ImplicationSet.from_pairs(u, pairs)
+        lin = _kernel(s, "lin")
+        occ, unit, need, concs, axioms = lin.args[0]
+        assert type(need) is (bytearray if n >= 256 else list)
+        compiled = (bytes(need), list(unit), [list(o) for o in occ], list(concs), axioms)
+        streams = [
+            [(rand_mask(rng, n) & rand_mask(rng, n) & rand_mask(rng, n), 1 << rng.randrange(n))
+             for _ in range(200)]
+            for _ in range(4)
+        ]
+        seq = Closure.from_sigma(s)
+
+        def answers(c: Closure, stream) -> list[tuple[int, bool]]:
+            return [
+                (c.of_mask(m), entails(s, Implication(u.from_mask(m), u.from_mask(t))))
+                for m, t in stream
+            ]
+
+        want = [answers(seq, stream) for stream in streams]
+        flags = {w for stream in want for _, w in stream}
+        assert flags == {True, False}
+        # membership tests that stop before the fixpoint leave their
+        # counters part-way down
+        assert any(lin(t, m) != seq.of_mask(m) for m, t in streams[0])
+        assert (bytes(need), unit, occ, concs, axioms) == compiled
+
+        shared = Closure.from_sigma(s)
+        got: list = [None] * 4
+
+        def work(k: int) -> None:
+            got[k] = answers(shared, streams[k])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert (bytes(need), unit, occ, concs, axioms) == compiled
 
 
 class TestCloseTrace:
