@@ -379,10 +379,22 @@ Row = tuple[int, int, int, tuple[int, ...]]
 
 
 def _force_ones(row: Row, m: int) -> Row | None:
-    """Restrict the row to subsets containing m; None when that is empty."""
+    """Restrict the row to its members that hold m; None when none does.
+
+    When m lies inside ones ∪ free, no bubble can lose a position, so the
+    bubbles stay whole and are not scanned: the row comes back with m
+    forced present. Otherwise each bubble that m meets loses those
+    positions in place: one left with two or more positions stays where
+    it was, one left with a single position drops out and that position
+    becomes a forced 0, and one that m covers leaves no member, since a
+    bubble needs a 0. So the bubbles keep their order, which
+    ``Universe.row_lines`` names them by.
+    """
     ones, zeros, free, bubbles = row
     if m & zeros:
         return None
+    if not m & ~(ones | free):
+        return ones | m, zeros, free & ~m, bubbles
     kept = []
     for b in bubbles:
         rest = b & ~m
@@ -390,15 +402,31 @@ def _force_ones(row: Row, m: int) -> Row | None:
             kept.append(b)
         elif rest == 0:
             return None  # bubble fully forced present, but it needs a 0
-        elif rest.bit_count() == 1:
-            zeros |= rest
-        else:
+        elif rest & (rest - 1):
             kept.append(rest)
+        else:
+            zeros |= rest
     return ones | m, zeros, free & ~m, tuple(kept)
 
 
 def _at_least_one_zero(row: Row, amask: int, out: list[Row]) -> None:
-    """Append rows covering exactly the members of row missing part of amask."""
+    """Append disjoint rows covering exactly the members of row that miss
+    part of amask.
+
+    The row stays whole when every member misses part of amask: amask
+    meets a forced 0, or a bubble lies inside amask. No row is appended
+    when amask lies inside ones. When the rest of amask lies inside free,
+    one row is appended with that rest as a lone forced 0 or as one new
+    bubble, placed last. Otherwise the loop branches on the lowest
+    position p of amask that lies in a bubble: first the row with p
+    absent, where that bubble is dropped and its other positions run
+    free; then, with p present, the bubble shrinks in place, or becomes a
+    forced 0 when one position is left, and the loop goes on with amask
+    less p. The loop checks nothing again: every bubble keeps a position
+    outside amask, since none lay inside it, so no bubble comes to lie
+    inside amask and no new forced 0 falls in it. The other bubbles keep
+    their order, which ``Universe.row_lines`` names them by.
+    """
     ones, zeros, free, bubbles = row
     if amask & zeros:
         out.append(row)
@@ -407,54 +435,72 @@ def _at_least_one_zero(row: Row, amask: int, out: list[Row]) -> None:
         if b & ~amask == 0:
             out.append(row)  # some bubble lies inside amask, so a 0 is certain
             return
-    cand = amask & ~ones
-    if cand == 0:
-        return  # amask forced fully present
-    in_bubbles = cand & ~free
-    if in_bubbles == 0:
-        # all candidate positions free: one new bubble (or a lone 0)
-        if cand.bit_count() == 1:
-            out.append((ones, zeros | cand, free & ~cand, bubbles))
+    while True:
+        cand = amask & ~ones
+        if not cand:
+            return  # amask forced fully present
+        in_bubbles = cand & ~free
+        if not in_bubbles:
+            if cand & (cand - 1):
+                out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
+            else:
+                out.append((ones, zeros | cand, free & ~cand, bubbles))
+            return
+        p = in_bubbles & -in_bubbles
+        i = 0
+        while not bubbles[i] & p:
+            i += 1
+        rest = bubbles[i] ^ p
+        others = bubbles[:i] + bubbles[i + 1 :]
+        # p absent: its bubble is satisfied, remaining bubble positions run free
+        out.append((ones, zeros | p, free | rest, others))
+        # p present: the rest of amask must miss something
+        ones |= p
+        amask ^= p
+        if rest & (rest - 1):
+            bubbles = bubbles[:i] + (rest,) + bubbles[i + 1 :]
         else:
-            out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
-        return
-    # a candidate position sits inside an existing bubble: branch on it
-    p = in_bubbles & -in_bubbles
-    b = next(b for b in bubbles if b & p)
-    others = tuple(x for x in bubbles if x != b)
-    # p absent: its bubble is satisfied, remaining bubble positions run free
-    out.append((ones, zeros | p, free | (b & ~p), others))
-    # p present: the bubble shrinks and the rest of amask must miss something
-    with_p = _force_ones(row, p)
-    if with_p is not None:
-        _at_least_one_zero(with_p, amask & ~p, out)
+            zeros |= rest
+            bubbles = others
 
 
 def _impose(
     rows: list[Row], pairs: Iterable[tuple[int, int]], complications: Iterable[int]
 ) -> list[Row]:
     """Filter the rows by each (premise, conclusion) mask pair in turn, then
-    by each complication mask; the rows stay pairwise disjoint."""
+    by each complication mask; the rows stay pairwise disjoint.
+
+    A row stays whole under a pair when its premise cannot hold (it meets
+    a forced 0, or a bubble lies inside it) or when its conclusion is
+    certain once it does. Any other row splits into the members missing
+    part of the premise, then those holding premise and conclusion
+    (``_force_ones``). When the premise lies inside ones ∪ free, no bubble
+    can lie inside it, so the bubble scan is skipped and the missing part
+    is appended directly: nothing when the premise lies inside ones, else
+    a lone forced 0 or one new bubble, placed last. Only a premise that
+    meets a bubble goes to ``_at_least_one_zero``, which scans the bubbles
+    and keeps the row whole when one lies inside the premise; then
+    ``_force_ones`` finds that bubble covered and adds nothing. Both paths
+    keep the order of the bubbles, which ``Universe.row_lines`` names
+    them by.
+    """
     for amask, bmask in pairs:
         out: list[Row] = []
         for row in rows:
-            ones, zeros, _, bubbles = row
-            # a row left whole: the premise cannot hold (a forced 0, or a
-            # bubble inside it), or the conclusion is certain when it does
+            ones, zeros, free, bubbles = row
             if amask & zeros or not bmask & ~(amask | ones):
                 out.append(row)
                 continue
-            for b in bubbles:
-                if not b & ~amask:
-                    out.append(row)
-                    break
-            else:
-                # split: the members missing part of the premise, then
-                # those holding premise and conclusion
+            cand = amask & ~ones
+            if cand & ~free:
                 _at_least_one_zero(row, amask, out)
-                forced = _force_ones(row, amask | bmask)
-                if forced is not None:
-                    out.append(forced)
+            elif cand & (cand - 1):
+                out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
+            elif cand:
+                out.append((ones, zeros | cand, free & ~cand, bubbles))
+            forced = _force_ones(row, amask | bmask)
+            if forced is not None:
+                out.append(forced)
         rows = out
     for amask in complications:
         out = []

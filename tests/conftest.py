@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from itertools import count as naturals, product
 from string import ascii_lowercase
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from hornkit import (
     AttrSet,
@@ -407,6 +407,129 @@ def exact_min_base_size(
         k += 1
         assert k <= len(nonmod)
     return k
+
+
+# -- the row splitter before its flat rewrite ---------------------------------
+#
+# The recursive splitter that ``hornkit.closure`` used before its splits
+# became one flat loop, kept verbatim (names aside) as the reference that
+# the library's rows must equal tuple for tuple, in order.
+
+Row = tuple[int, int, int, tuple[int, ...]]
+
+
+def reference_force_ones(row: Row, m: int) -> Row | None:
+    """Restrict the row to subsets containing m; None when that is empty."""
+    ones, zeros, free, bubbles = row
+    if m & zeros:
+        return None
+    kept = []
+    for b in bubbles:
+        rest = b & ~m
+        if rest == b:
+            kept.append(b)
+        elif rest == 0:
+            return None  # bubble fully forced present, but it needs a 0
+        elif rest.bit_count() == 1:
+            zeros |= rest
+        else:
+            kept.append(rest)
+    return ones | m, zeros, free & ~m, tuple(kept)
+
+
+def reference_at_least_one_zero(row: Row, amask: int, out: list[Row]) -> None:
+    """Append rows covering exactly the members of row missing part of amask."""
+    ones, zeros, free, bubbles = row
+    if amask & zeros:
+        out.append(row)
+        return
+    for b in bubbles:
+        if b & ~amask == 0:
+            out.append(row)  # some bubble lies inside amask, so a 0 is certain
+            return
+    cand = amask & ~ones
+    if cand == 0:
+        return  # amask forced fully present
+    in_bubbles = cand & ~free
+    if in_bubbles == 0:
+        # all candidate positions free: one new bubble (or a lone 0)
+        if cand.bit_count() == 1:
+            out.append((ones, zeros | cand, free & ~cand, bubbles))
+        else:
+            out.append((ones, zeros, free & ~cand, bubbles + (cand,)))
+        return
+    # a candidate position sits inside an existing bubble: branch on it
+    p = in_bubbles & -in_bubbles
+    b = next(b for b in bubbles if b & p)
+    others = tuple(x for x in bubbles if x != b)
+    # p absent: its bubble is satisfied, remaining bubble positions run free
+    out.append((ones, zeros | p, free | (b & ~p), others))
+    # p present: the bubble shrinks and the rest of amask must miss something
+    with_p = reference_force_ones(row, p)
+    if with_p is not None:
+        reference_at_least_one_zero(with_p, amask & ~p, out)
+
+
+def reference_impose(
+    rows: list[Row], pairs: Iterable[tuple[int, int]], complications: Iterable[int]
+) -> list[Row]:
+    """Filter the rows by each (premise, conclusion) mask pair in turn, then
+    by each complication mask; the rows stay pairwise disjoint."""
+    for amask, bmask in pairs:
+        out: list[Row] = []
+        for row in rows:
+            ones, zeros, _, bubbles = row
+            # a row left whole: the premise cannot hold (a forced 0, or a
+            # bubble inside it), or the conclusion is certain when it does
+            if amask & zeros or not bmask & ~(amask | ones):
+                out.append(row)
+                continue
+            for b in bubbles:
+                if not b & ~amask:
+                    out.append(row)
+                    break
+            else:
+                # split: the members missing part of the premise, then
+                # those holding premise and conclusion
+                reference_at_least_one_zero(row, amask, out)
+                forced = reference_force_ones(row, amask | bmask)
+                if forced is not None:
+                    out.append(forced)
+        rows = out
+    for amask in complications:
+        out = []
+        for row in rows:
+            reference_at_least_one_zero(row, amask, out)
+        rows = out
+    return rows
+
+
+def reference_model_rows(
+    n: int, pairs: list[tuple[int, int]], complications: Iterable[int] = ()
+) -> list[Row]:
+    """The rows of the full n-position cube under the pairs, imposed in
+    the order given, then the complications."""
+    return reference_impose([(0, 0, (1 << n) - 1, ())], pairs, complications)
+
+
+def reference_expand(rows: Iterable[Row]) -> list[Row]:
+    """Bubble-free rows, in order: the first bubble's positions p, in
+    ascending order, each give the rows with p absent, the positions
+    below p present and those above p free, expanded in turn."""
+    out: list[Row] = []
+    for ones, zeros, free, bubbles in rows:
+        if not bubbles:
+            out.append((ones, zeros, free, bubbles))
+            continue
+        first, rest = bubbles[0], bubbles[1:]
+        below = 0
+        for p in range(first.bit_length()):
+            bit = 1 << p
+            if first & bit:
+                above = first & ~(below | bit)
+                out += reference_expand([(ones | below, zeros | bit, free | above, rest)])
+                below |= bit
+    return out
 
 
 # -- random instances ----------------------------------------------------------

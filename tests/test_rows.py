@@ -26,12 +26,16 @@ from hornkit import (
 )
 
 from hornkit.closure import (
+    _at_least_one_zero,
+    _force_ones,
+    _impose,
     _model_rows,
     _split_order,
     expand_rows,
     flat_rows,
     lectic_masks,
     model_rows,
+    split_rows,
 )
 from hornkit.rows import _system
 
@@ -49,7 +53,13 @@ from conftest import (
     oracle_bubble_names,
     oracle_row_text,
     rand_family,
+    rand_mask,
     rand_sigma,
+    reference_at_least_one_zero,
+    reference_expand,
+    reference_force_ones,
+    reference_impose,
+    reference_model_rows,
     rng_for,
     sig,
     uni,
@@ -290,6 +300,158 @@ class TestImpose:
                 assert rows.member_masks() == members
                 assert rows.count() == len(members)
                 assert rows.pairwise_disjoint()
+
+
+def rand_row(rng, n):
+    """A random valid row over n positions: each position is a one, a
+    forced 0 or free, or starts a bubble of 2-5 positions."""
+    order = list(range(n))
+    rng.shuffle(order)
+    ones = zeros = free = 0
+    bubbles = []
+    while order:
+        k = rng.randint(2, 5)
+        if k <= len(order) and rng.random() < 0.3:
+            bubbles.append(sum(1 << p for p in order[:k]))
+            del order[:k]
+            continue
+        bit = 1 << order.pop()
+        pick = rng.random()
+        if pick < 0.3:
+            ones |= bit
+        elif pick < 0.5:
+            zeros |= bit
+        else:
+            free |= bit
+    return ones, zeros, free, tuple(bubbles)
+
+
+def sparse_sigma(rng, u):
+    """A theory of 2-3-position premises and 1-2-position conclusions,
+    sometimes with an empty premise or an empty conclusion: fewer of its
+    rows stay whole than under ``rand_sigma``, so it splits more."""
+    n = u.size
+
+    def sample(k):
+        return sum(1 << p for p in rng.sample(range(n), min(n, k)))
+
+    pairs = [
+        (sample(rng.randint(2, 3)), sample(rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 2 * n))
+    ]
+    if rng.random() < 0.3:
+        pairs.insert(rng.randrange(len(pairs)), (0, sample(1)))
+    if rng.random() < 0.3:
+        pairs.insert(rng.randrange(len(pairs)), (sample(2), 0))
+    return ImplicationSet.from_pairs(u, pairs)
+
+
+class TestSplitterMatchesReference:
+    """The flat splitter gives the rows of the recursive one that it
+    replaced (``conftest.reference_impose``), tuple for tuple and in
+    order, so every printed listing and bubble name stays as it was."""
+
+    def test_listings_of_random_theories(self):
+        seen = {"empty premise": 0, "empty conclusion": 0, "long conclusion": 0}
+        for case in range(640):
+            rng = rng_for(47000 + case)
+            n = rng.randint(1, 12)
+            s = (rand_sigma if case % 2 else sparse_sigma)(rng, uni(n))
+            pairs = s.mask_pairs()
+            seen["empty premise"] += any(not a for a, _ in pairs)
+            seen["empty conclusion"] += any(not b for _, b in pairs)
+            seen["long conclusion"] += any(b & (b - 1) for _, b in pairs)
+            split = _split_order(pairs)
+            for gamma in ([], [rand_mask(rng, n) for _ in range(rng.randint(1, 3))]):
+                assert model_rows(s, gamma) == reference_model_rows(n, pairs, gamma)
+                want = reference_model_rows(n, split, gamma)
+                assert split_rows(s, gamma) == want
+                assert flat_rows(s, gamma) == reference_expand(want)
+        assert min(seen.values()) >= 30, seen
+
+    def test_one_step_on_random_rows(self):
+        for case in range(3000):
+            rng = rng_for(48000 + case)
+            n = rng.randint(1, 16)
+            row = rand_row(rng, n)
+            a = rand_mask(rng, n) if rng.random() < 0.8 else 0
+            b = rand_mask(rng, n)
+            c = rand_mask(rng, n)
+            assert _force_ones(row, a) == reference_force_ones(row, a)
+            assert _force_ones(row, a | b) == reference_force_ones(row, a | b)
+            got, want = [], []
+            _at_least_one_zero(row, a, got)
+            reference_at_least_one_zero(row, a, want)
+            assert got == want
+            assert _impose([row], [(a, b)], ()) == reference_impose([row], [(a, b)], ())
+            assert _impose([row], (), [c]) == reference_impose([row], (), [c])
+
+    @staticmethod
+    def universe(n):
+        """The universe [n] and a reader of its position lists as masks."""
+        u = uni(n)
+        return u, lambda text: u.parse_set(text).mask
+
+    @staticmethod
+    def step(u, row, rule):
+        """One pair imposed on one row, checked against the reference."""
+        a, b = (u.parse_set(side).mask for side in rule.split("->"))
+        got = _impose([row], [(a, b)], ())
+        assert got == reference_impose([row], [(a, b)], ())
+        return got
+
+    def test_premise_meets_two_bubbles(self):
+        u, m = self.universe(8)
+        row = (0, 0, m("5 6 7 8"), (m("1 2"), m("3 4")))
+        assert self.step(u, row, "1 3 5 -> 6") == [
+            (0, m("1"), m("2 5 6 7 8"), (m("3 4"),)),
+            (m("1"), m("2 3"), m("4 5 6 7 8"), ()),
+            (m("1 3"), m("2 4 5"), m("6 7 8"), ()),
+            (m("1 3 5 6"), m("2 4"), m("7 8"), ()),
+        ]
+
+    def test_bubbles_shrink_in_place_or_to_a_forced_zero(self):
+        u, m = self.universe(8)
+        row = (0, 0, m("8"), (m("1 2"), m("3 4 5"), m("6 7")))
+        # 3 4 5 keeps its place behind 1 2 as 4 5; 6 7 becomes a forced 0
+        want = (m("3 6"), m("7"), m("8"), (m("1 2"), m("4 5")))
+        assert _force_ones(row, m("3 6")) == want
+        assert reference_force_ones(row, m("3 6")) == want
+        got, ref = [], []
+        _at_least_one_zero(row, m("3 6 8"), got)
+        reference_at_least_one_zero(row, m("3 6 8"), ref)
+        assert got == ref == [
+            (0, m("3"), m("4 5 8"), (m("1 2"), m("6 7"))),
+            (m("3"), m("6"), m("7 8"), (m("1 2"), m("4 5"))),
+            (m("3 6"), m("7 8"), 0, (m("1 2"), m("4 5"))),
+        ]
+        assert u.row_lines(got) == "a a 0 2 2 b b 2\na a 1 b b 0 2 2\na a 1 b b 1 0 0"
+
+    def test_conclusion_inside_a_bubble(self):
+        u, m = self.universe(4)
+        row = (0, 0, m("1 2"), (m("3 4"),))
+        assert self.step(u, row, "1 -> 3") == [
+            (0, m("1"), m("2"), (m("3 4"),)),
+            (m("1 3"), m("4"), m("2"), ()),
+        ]
+        # a conclusion covering the bubble leaves only the missing part
+        assert self.step(u, row, "1 -> 3 4") == [(0, m("1"), m("2"), (m("3 4"),))]
+
+    def test_conclusion_forced_absent(self):
+        u, m = self.universe(3)
+        row = (0, m("2"), m("1 3"), ())
+        assert self.step(u, row, "1 -> 2") == [(0, m("1 2"), m("3"), ())]
+
+    def test_premise_inside_ones(self):
+        u, m = self.universe(6)
+        row = (m("1 2"), 0, m("3 4"), (m("5 6"),))
+        assert self.step(u, row, "1 2 -> 3") == [(m("1 2 3"), 0, m("4"), (m("5 6"),))]
+
+    def test_empty_complication_leaves_no_rows(self):
+        u, m = self.universe(6)
+        rows = [(0, 0, u.full_mask, ()), (m("1"), m("2"), m("5 6"), (m("3 4"),))]
+        assert _impose(rows, (), [0]) == reference_impose(rows, (), [0]) == []
+        assert model_rows(EQ38, [0]) == split_rows(EQ38, [0]) == []
 
 
 class TestEnumerateCompact:
