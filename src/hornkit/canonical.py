@@ -9,7 +9,6 @@ from typing import Iterator
 from .closure import Closure, ClosureSource, _close_columnwise, _columns, source_universe
 from .core import ImplicationSet, SetFamily, _Value, normalize
 from .direct import canonical_direct
-from .errors import UniverseMismatchError
 
 
 class PseudoclosedReport(_Value):
@@ -18,8 +17,7 @@ class PseudoclosedReport(_Value):
     __slots__ = _fields = ("pseudoclosed", "essential_closures")
 
     def __init__(self, pseudoclosed: SetFamily, essential_closures: SetFamily):
-        if pseudoclosed.universe != essential_closures.universe:
-            raise UniverseMismatchError("report families in different universes")
+        pseudoclosed.universe._check(essential_closures)
         self._init(pseudoclosed, essential_closures)
 
 

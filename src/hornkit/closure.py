@@ -27,7 +27,7 @@ from .core import (
     bits,
     submasks,
 )
-from .errors import BoundExceededError, UniverseMismatchError
+from .errors import BoundExceededError
 
 ClosureSource = Union[ImplicationSet, SetFamily, "Closure"]
 
@@ -228,8 +228,7 @@ class Closure:
         return got
 
     def __call__(self, s: AttrSet) -> AttrSet:
-        if s.universe != self.universe:
-            raise UniverseMismatchError("set outside the operator's universe")
+        self.universe._check(s)
         return AttrSet(self.universe, self.of_mask(s.mask))
 
     @classmethod
@@ -285,8 +284,7 @@ class ClosureTrace(_Value):
 
 
 def _set_rounds(sigma: ImplicationSet, s: AttrSet) -> Iterator[int]:
-    if s.universe != sigma.universe:
-        raise UniverseMismatchError("set and family in different universes")
+    sigma.universe._check(s)
     return _rounds(sigma.mask_pairs(), s.mask)
 
 
@@ -324,8 +322,7 @@ def entails(sigma: ImplicationSet, query: Implication) -> bool:
     A membership test: LinClosure runs from the premise only until the
     set holds the conclusion, and to the fixpoint when it never does.
     """
-    if query.universe != sigma.universe:
-        raise UniverseMismatchError("implication and family in different universes")
+    sigma.universe._check(query)
     target = query.conclusion.mask
     return target & ~_kernel(sigma, "lin")(target, query.premise.mask) == 0
 
@@ -333,8 +330,7 @@ def entails(sigma: ImplicationSet, query: Implication) -> bool:
 def equivalent(sigma1: ImplicationSet, sigma2: ImplicationSet) -> bool:
     """True iff the two families induce the same closure operator: each
     entails every rule p -> c of the other, by LinClosure stopped at c."""
-    if sigma1.universe != sigma2.universe:
-        raise UniverseMismatchError("families in different universes")
+    sigma1.universe._check(sigma2)
     for rules, other in ((sigma2, sigma1), (sigma1, sigma2)):
         lin = _kernel(other, "lin")
         if any(conc & ~lin(conc, p) for p, conc in rules.mask_pairs()):
@@ -350,8 +346,7 @@ def quasiclosure(source: ClosureSource, s: AttrSet) -> AttrSet:
     (20) elements.
     """
     c = Closure.wrap(source)
-    if s.universe != c.universe:
-        raise UniverseMismatchError("set outside the operator's universe")
+    c.universe._check(s)
     cur = s.mask
     while True:
         if cur.bit_count() > EXHAUSTIVE_LIMIT:

@@ -14,6 +14,14 @@ family extend it through ``_MaskTuple``, whose value is its masks. Each
 class writes its own ``__init__`` (``AttrSet`` and ``Implication`` also
 their eq and hash), so no code is generated at import and the CLI starts
 without the ``dataclasses`` module.
+
+Every value lives over one ``Universe``, and the universe holds the
+contract: ``Universe._check`` refuses values over another universe,
+``Universe._check_mask`` a mask with members outside it, and
+``Universe._check_position`` a position outside it, each with
+``UniverseMismatchError``. The library's refusals all go through them,
+except ``primes.ImplicationGraph``'s check of its successor tuple; the
+CLI refuses a second input file over another universe in its own words.
 """
 
 from __future__ import annotations
@@ -215,7 +223,23 @@ class Universe:
         if acc != self.full_mask or size != self.size:
             raise InvariantError("row masks do not partition the universe")
 
+    # -- the universe contract --------------------------------------------
+
+    def _check(self, *values) -> None:
+        """UniverseMismatchError unless each value's ``universe`` is this one."""
+        for v in values:
+            u = v.universe
+            if u is not self and u != self:
+                raise UniverseMismatchError(f"{type(v).__name__} over another universe")
+
+    def _check_mask(self, mask: int) -> None:
+        """UniverseMismatchError unless ``mask`` is a nonnegative mask of
+        positions inside this universe."""
+        if mask & ~self.full_mask:
+            raise UniverseMismatchError("set has members outside its universe")
+
     def _check_position(self, pos: int) -> None:
+        """UniverseMismatchError unless ``pos`` is a position of this universe."""
         if not 0 <= pos < self.size:
             raise UniverseMismatchError(f"element position {pos} outside universe")
 
@@ -358,8 +382,7 @@ class AttrSet(_Value):
     __slots__ = _fields = ("universe", "mask")
 
     def __init__(self, universe: Universe, mask: int):
-        if mask & ~universe.full_mask:
-            raise UniverseMismatchError("set has members outside its universe")
+        universe._check_mask(mask)
         _set(self, "universe", universe)
         _set(self, "mask", mask)
 
@@ -394,8 +417,7 @@ class AttrSet(_Value):
         return AttrSet(self.universe, self.mask & ~self._mate(other))
 
     def _mate(self, other: AttrSet) -> int:
-        if other.universe != self.universe:
-            raise UniverseMismatchError("sets live in different universes")
+        self.universe._check(other)
         return other.mask
 
     def issubset(self, other: AttrSet) -> bool:
@@ -425,8 +447,7 @@ class Implication(_Value):
     __slots__ = _fields = ("premise", "conclusion")
 
     def __init__(self, premise: AttrSet, conclusion: AttrSet):
-        if premise.universe != conclusion.universe:
-            raise UniverseMismatchError("implication sides in different universes")
+        premise.universe._check(conclusion)
         _set(self, "premise", premise)
         _set(self, "conclusion", conclusion)
 
@@ -527,9 +548,7 @@ class ImplicationSet(_MaskTuple):
 
     def __init__(self, universe: Universe, items: Iterable[Implication]):
         items = tuple(items)
-        for imp in items:
-            if imp.universe != universe:
-                raise UniverseMismatchError("implication outside family universe")
+        universe._check(*items)
         self._fill(universe, tuple([(i.premise.mask, i.conclusion.mask) for i in items]), items)
 
     @classmethod
@@ -540,8 +559,7 @@ class ImplicationSet(_MaskTuple):
         every = 0
         for p, c in pairs:
             every |= p | c
-        if every & ~universe.full_mask:
-            raise UniverseMismatchError("set has members outside its universe")
+        universe._check_mask(every)
         return cls._of(universe, pairs)
 
     def _select(self, indices: Iterable[int]) -> ImplicationSet:
@@ -581,17 +599,17 @@ class SetFamily(_MaskTuple):
 
     def __init__(self, universe: Universe, sets: Iterable[AttrSet]):
         sets = tuple(sets)
-        for s in sets:
-            if s.universe != universe:
-                raise UniverseMismatchError("set outside family universe")
+        universe._check(*sets)
         self._fill(universe, tuple([s.mask for s in sets]), sets)
 
     @classmethod
     def from_masks(cls, universe: Universe, masks: Iterable[int]) -> SetFamily:
         """The family of the distinct masks, sorted by ``AttrSet.key``."""
         masks = set(masks)
-        if masks and (min(masks) < 0 or max(masks) > universe.full_mask):
-            raise UniverseMismatchError("set has members outside its universe")
+        if masks:
+            # some mask is negative or reaches past the universe iff the
+            # OR of the least and the greatest one does
+            universe._check_mask(min(masks) | max(masks))
         return cls._of(universe, tuple(sorted(masks, key=_set_key)))
 
     def masks(self) -> list[int]:

@@ -16,12 +16,7 @@ from .core import (
     bits,
 )
 from .dualize import StemTable
-from .errors import (
-    BoundExceededError,
-    InvariantError,
-    NotDirectError,
-    UniverseMismatchError,
-)
+from .errors import BoundExceededError, InvariantError, NotDirectError
 
 
 def _search_ground(source: ClosureSource) -> int:
@@ -73,8 +68,7 @@ def classify_stems(
     """Strong stems (roots(X) = c(X) \\ X) and closure-minimality per root."""
     c = Closure.wrap(source)
     u = c.universe
-    if table.universe != u:
-        raise UniverseMismatchError("stem table and source in different universes")
+    u._check(table)
     out: dict[AttrSet, StemClassification] = {}
     for stem, roots in table.roots_of.items():
         cl = c.of_mask(stem.mask)
@@ -97,8 +91,7 @@ class OrderedBase(_Value):
     __slots__ = _fields = ("universe", "items", "binary_count")
 
     def __init__(self, universe: Universe, items: tuple[Implication, ...], binary_count: int):
-        if any(imp.universe != universe for imp in items):
-            raise UniverseMismatchError("implication outside the base's universe")
+        universe._check(*items)
         for imp in items[:binary_count]:
             if len(imp.premise) > 1:
                 raise InvariantError(f"binary prefix holds {imp.render()}")
@@ -167,8 +160,7 @@ def ordered_close(ordered: OrderedBase, s: AttrSet, verify: bool = False) -> Att
     On a non-direct ordering the result can undershoot the closure; with
     verify=True that raises instead of returning silently.
     """
-    if s.universe != ordered.universe:
-        raise UniverseMismatchError("set outside the base's universe")
+    ordered.universe._check(s)
     mask = s.mask
     for imp in ordered.items:
         if imp.premise.mask & ~mask == 0:

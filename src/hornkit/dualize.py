@@ -17,7 +17,6 @@ from .core import (
     bits,
     extreme_masks,
 )
-from .errors import UniverseMismatchError
 
 
 def _transversal_masks(edges: list[int]) -> list[int]:
@@ -116,10 +115,7 @@ class StemTable(_Value):
         stems_of: dict[int, SetFamily],  # position -> antichain of stems
         roots_of: dict[AttrSet, AttrSet],  # stem -> its roots
     ):
-        if any(f.universe != universe for f in stems_of.values()) or any(
-            s.universe != universe or r.universe != universe for s, r in roots_of.items()
-        ):
-            raise UniverseMismatchError("stem table entry outside its universe")
+        universe._check(*stems_of.values(), *roots_of, *roots_of.values())
         self._init(universe, stems_of, roots_of)
 
     def direct_base(self) -> ImplicationSet:
@@ -166,8 +162,7 @@ class MaxNonCover(_Value):
     def __init__(
         self, universe: Universe, max_of: dict[int, SetFamily], cmax_of: dict[int, SetFamily]
     ):
-        if any(f.universe != universe for f in (*max_of.values(), *cmax_of.values())):
-            raise UniverseMismatchError("max(F,e) table entry outside its universe")
+        universe._check(*max_of.values(), *cmax_of.values())
         self._init(universe, max_of, cmax_of)
 
 

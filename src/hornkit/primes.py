@@ -96,7 +96,7 @@ def consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
         return []
     if any(not c.is_pure() for c in clauses):
         raise HornkitError("consensus closure expects pure Horn clauses")
-    u = clauses[0].universe
+    clauses[0].universe._check(*clauses)
     active: list[HornClause] = []
     alive: list[bool] = []
     pending: list[tuple[int, int]] = []
@@ -116,8 +116,6 @@ def consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
                 pending.append((i, idx))
 
     for cl in clauses:
-        if cl.universe != u:
-            raise UniverseMismatchError("clauses in different universes")
         push(cl)
     while pending:
         i, j = pending.pop()
@@ -150,8 +148,7 @@ def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) 
     element, runs sigma's shared LinClosure only until the positive
     literal is in.
     """
-    if clause.universe != sigma.universe:
-        raise UniverseMismatchError("clause and family in different universes")
+    sigma.universe._check(clause)
     if isinstance(clause, Implication):
         clause = HornClause.from_implication(clause)
     if clause.positive is None:

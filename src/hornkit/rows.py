@@ -32,7 +32,6 @@ from .core import (
     _Value,
     submasks,
 )
-from .errors import UniverseMismatchError
 
 
 class Row012n(_Value):
@@ -70,8 +69,7 @@ class Row012n(_Value):
         The joint forced-present mask is a common member iff it avoids both
         forced-absent masks and fully covers no bubble.
         """
-        if other.universe != self.universe:
-            raise UniverseMismatchError("rows in different universes")
+        self.universe._check(other)
         ones = self.ones | other.ones
         if ones & (self.zeros | other.zeros):
             return False
@@ -94,8 +92,7 @@ class RowSystem(_Value):
     __slots__ = _fields = ("universe", "rows")
 
     def __init__(self, universe: Universe, rows: tuple[Row012n, ...]):
-        if any(r.universe != universe for r in rows):
-            raise UniverseMismatchError("row outside the system's universe")
+        universe._check(*rows)
         self._init(universe, rows)
 
     def count(self) -> int:
@@ -139,16 +136,14 @@ def _system(universe: Universe, rows: list[Row]) -> RowSystem:
 
 def impose_implication(rows: RowSystem, imp: Implication) -> RowSystem:
     """Filter the denotation by one implication; rows stay pairwise disjoint."""
-    if imp.universe != rows.universe:
-        raise UniverseMismatchError("implication outside the rows' universe")
+    rows.universe._check(imp)
     pair = (imp.premise.mask, imp.conclusion.mask)
     return _system(rows.universe, _impose(_tuples(rows), (pair,), ()))
 
 
 def impose_complication(rows: RowSystem, aset: AttrSet) -> RowSystem:
     """Filter by a negative clause: keep subsets not covering aset."""
-    if aset.universe != rows.universe:
-        raise UniverseMismatchError("complication outside the rows' universe")
+    rows.universe._check(aset)
     return _system(rows.universe, _impose(_tuples(rows), (), (aset.mask,)))
 
 
@@ -188,8 +183,7 @@ class HornSystem(_Value):
     __slots__ = _fields = ("sigma", "gamma")
 
     def __init__(self, sigma: ImplicationSet, gamma: SetFamily):
-        if sigma.universe != gamma.universe:
-            raise UniverseMismatchError("sigma and gamma in different universes")
+        sigma.universe._check(gamma)
         self._init(sigma, gamma.minimize())
 
     @property

@@ -529,6 +529,19 @@ class TestErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("verb, flag, text, message", [
+        ("count", "--gamma", "elements: a b\na\n", "--gamma universe differs from the input's"),
+        ("equiv", "--sigma2", "elements: a b\na -> b\n",
+         "the two families use different universes"),
+    ])
+    def test_second_file_over_another_universe(
+        self, files, capsys, tmp_path, verb, flag, text, message
+    ):
+        other = tmp_path / "other.txt"
+        other.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, verb, "--sigma", files["eq38.imp"], flag, str(other))
+        assert (code, out, err) == (1, "", f"hornkit: {message}\n")
+
     def test_step_needs_sigma(self, files, capsys):
         code, _, err = run(
             capsys,

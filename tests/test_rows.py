@@ -215,6 +215,35 @@ class TestRowLines:
         assert u.row_lines([]) == ""
 
 
+def sparse_sigma(rng, u):
+    """A theory of 2-3-position premises and 1-2-position conclusions,
+    sometimes with an empty premise or an empty conclusion: fewer of its
+    rows stay whole than under ``rand_sigma``, so it splits more."""
+    n = u.size
+
+    def sample(k):
+        return sum(1 << p for p in rng.sample(range(n), min(n, k)))
+
+    pairs = [
+        (sample(rng.randint(2, 3)), sample(rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 2 * n))
+    ]
+    if rng.random() < 0.3:
+        pairs.insert(rng.randrange(len(pairs)), (0, sample(1)))
+    if rng.random() < 0.3:
+        pairs.insert(rng.randrange(len(pairs)), (sample(2), 0))
+    return ImplicationSet.from_pairs(u, pairs)
+
+
+def theory_draws(seed, cases):
+    """A fresh ``rng_for(seed + case)`` per case, twice: once with
+    ``rand_sigma``, whose theories have few closed sets, and once with
+    ``sparse_sigma``, whose rows split more."""
+    for case in range(cases):
+        for draw in (rand_sigma, sparse_sigma):
+            yield rng_for(seed + case), draw
+
+
 class TestSplitOrder:
     """Row listings that are never printed impose the rules in
     closure._split_order; the order must change no answer."""
@@ -228,11 +257,10 @@ class TestSplitOrder:
         assert _split_order(s.mask_pairs()) == want.mask_pairs()
 
     def test_orders_agree_with_brute_force(self):
-        for case in range(200):
-            rng = rng_for(41000 + case)
+        for rng, draw in theory_draws(41000, 200):
             n = rng.randint(1, 10)
             u = uni(n)
-            s = rand_sigma(rng, u)
+            s = draw(rng, u)
             h = HornSystem(s, rand_family(rng, u, k=rng.randint(0, 3)))
             gamma = h.gamma.masks()
             closed = brute_closed_masks(n, s)
@@ -324,26 +352,6 @@ def rand_row(rng, n):
         else:
             free |= bit
     return ones, zeros, free, tuple(bubbles)
-
-
-def sparse_sigma(rng, u):
-    """A theory of 2-3-position premises and 1-2-position conclusions,
-    sometimes with an empty premise or an empty conclusion: fewer of its
-    rows stay whole than under ``rand_sigma``, so it splits more."""
-    n = u.size
-
-    def sample(k):
-        return sum(1 << p for p in rng.sample(range(n), min(n, k)))
-
-    pairs = [
-        (sample(rng.randint(2, 3)), sample(rng.randint(1, 2)))
-        for _ in range(rng.randint(1, 2 * n))
-    ]
-    if rng.random() < 0.3:
-        pairs.insert(rng.randrange(len(pairs)), (0, sample(1)))
-    if rng.random() < 0.3:
-        pairs.insert(rng.randrange(len(pairs)), (sample(2), 0))
-    return ImplicationSet.from_pairs(u, pairs)
 
 
 class TestSplitterMatchesReference:
@@ -467,11 +475,10 @@ class TestEnumerateCompact:
         assert rows.member_masks() == set(brute_closed_masks(6, EQ38))
 
     def test_random_exact_and_disjoint(self):
-        for case in range(30):
-            rng = rng_for(35000 + case)
+        for rng, draw in theory_draws(35000, 30):
             n = rng.randint(2, 7)
             u = uni(n)
-            s = rand_sigma(rng, u)
+            s = draw(rng, u)
             rows = enumerate_compact(s)
             want = set(brute_closed_masks(n, s))
             assert rows.member_masks() == want
@@ -539,18 +546,16 @@ class TestHornSystem:
         assert count(enumerate_horn(h)) == 21
 
     def test_count_without_rows_matches_rows(self):
-        for case in range(25):
-            rng = rng_for(37500 + case)
+        for rng, draw in theory_draws(37500, 25):
             u = uni(rng.randint(1, 7))
-            h = HornSystem(rand_sigma(rng, u), rand_family(rng, u, k=rng.randint(0, 3)))
+            h = HornSystem(draw(rng, u), rand_family(rng, u, k=rng.randint(0, 3)))
             assert count(h) == count(enumerate_horn(h))
 
     def test_lectic_listing_of_models(self):
-        for case in range(40):
-            rng = rng_for(37700 + case)
+        for rng, draw in theory_draws(37700, 40):
             n = rng.randint(1, 7)
             u = uni(n)
-            s = rand_sigma(rng, u)
+            s = draw(rng, u)
             g = rand_family(rng, u, k=rng.randint(0, 3))
             want = [m for m in brute_closed_masks(n, s) if all(a & ~m for a in g.masks())]
             want.sort(key=lambda m: [m >> p & 1 for p in range(n)])
@@ -558,11 +563,10 @@ class TestHornSystem:
             assert got == want
 
     def test_random_exactness(self):
-        for case in range(25):
-            rng = rng_for(37000 + case)
+        for rng, draw in theory_draws(37000, 25):
             n = rng.randint(2, 6)
             u = uni(n)
-            s = rand_sigma(rng, u)
+            s = draw(rng, u)
             g = rand_family(rng, u, k=rng.randint(0, 3))
             h = HornSystem(s, g)
             closed = set(brute_closed_masks(n, s))

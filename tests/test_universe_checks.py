@@ -165,7 +165,7 @@ def test_table_names_every_callable_export():
 def test_mismatched_universes_refused(name, kind):
     call = CASES[name]
     call(AB, AB)  # the same universe is accepted
-    with pytest.raises(UniverseMismatchError):
+    with pytest.raises(UniverseMismatchError, match="over another universe"):
         call(AB, OTHERS[kind])
 
 
