@@ -9,11 +9,11 @@ pairs and families hold masks: parsing maps labels straight to bits, and
 
 The package's value types, ``Universe`` aside, are plain ``__slots__``
 classes on one frozen base, ``_Value``: eq, hash, repr and pickling over
-their fields, and instances that refuse assignment. The rule set and the
-family extend it through ``_MaskTuple``, whose value is its masks. Each
-class writes its own ``__init__`` (``AttrSet`` and ``Implication`` also
-their eq and hash), so no code is generated at import and the CLI starts
-without the ``dataclasses`` module.
+their fields, and instances that refuse assignment. ``ImplicationSet``,
+``SetFamily`` and ``direct.OrderedBase`` extend it through ``_MaskTuple``,
+whose value is its masks. Each class writes its own ``__init__``
+(``AttrSet`` and ``Implication`` also eq and hash), so nothing is generated
+at import and the CLI loads no ``dataclasses``.
 
 Every value lives over one ``Universe``, and the universe holds the
 contract: ``Universe._check`` refuses values over another universe,

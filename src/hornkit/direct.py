@@ -1,5 +1,5 @@
 """Stems and roots, the canonical direct base, strong-stem classification,
-the D-basis ordering, and one-pass ordered closure.
+the D-basis (from the stem table alone), and one-pass ordered closure.
 """
 
 from __future__ import annotations
@@ -11,9 +11,12 @@ from .core import (
     Implication,
     ImplicationSet,
     Universe,
+    _implication,
+    _MaskTuple,
     _set,
     _Value,
     bits,
+    unit_expand,
 )
 from .dualize import StemTable
 from .errors import BoundExceededError, InvariantError, NotDirectError
@@ -84,27 +87,44 @@ def classify_stems(
     return out
 
 
-class OrderedBase(_Value):
+class OrderedBase(_MaskTuple):
     """Unit implications to apply once, left to right: binary prefix first,
-    then the order-minimal block."""
+    then the order-minimal block; held as mask pairs, as ``ImplicationSet``."""
 
-    __slots__ = _fields = ("universe", "items", "binary_count")
+    __slots__ = ("binary_count",)
+    _fields = ("universe", "items", "binary_count")
+    _object = staticmethod(_implication)
+    items = property(_MaskTuple._kept, doc="The rules as ``Implication``s, built on first use.")
 
     def __init__(self, universe: Universe, items: tuple[Implication, ...], binary_count: int):
         universe._check(*items)
+        if not 0 <= binary_count <= len(items):
+            raise InvariantError(f"binary count {binary_count} outside 0..{len(items)}")
         for imp in items[:binary_count]:
             if len(imp.premise) > 1:
                 raise InvariantError(f"binary prefix holds {imp.render()}")
-        self._init(universe, items, binary_count)
+        self._fill(universe, tuple([(i.premise.mask, i.conclusion.mask) for i in items]), items)
+        _set(self, "binary_count", binary_count)
+
+    @classmethod
+    def _of_pairs(cls, universe: Universe, pairs: tuple, binary_count: int) -> OrderedBase:
+        base = cls._of(universe, pairs)
+        _set(base, "binary_count", binary_count)
+        return base
+
+    def _values(self) -> tuple:
+        return (self.universe, self._masks, self.binary_count)
+
+    def __reduce__(self):
+        return (self._of_pairs, self._values())
 
     def binary_part(self) -> tuple[Implication, ...]:
         return self.items[: self.binary_count]
 
     def as_sigma(self) -> ImplicationSet:
-        return ImplicationSet(self.universe, self.items)
+        return ImplicationSet._of(self.universe, self._masks, self._objects)
 
-    def render(self) -> str:
-        return self.as_sigma().render()
+    render = ImplicationSet.render
 
 
 def d_basis(source: ClosureSource) -> OrderedBase:
@@ -112,44 +132,37 @@ def d_basis(source: ClosureSource) -> OrderedBase:
     followed by the order-minimal larger ones.
 
     Applied once each, in order, the implications close any set in one pass.
+    The unit primes come as ``primes.unit_primes`` lists them, the binary
+    block first. The canonical direct base closes in one step, so c({a}) is
+    a plus the conclusions of the binary units on {} and on {a}.
     """
-    c = Closure.wrap(source)
-    u = c.universe
     table = stem_table(source)
+    u = table.universe
+    units = unit_expand(table.direct_base()).sorted().mask_pairs()
+    binary_count = sum(1 for p, _ in units if p.bit_count() <= 1)
 
     # strictly-smaller relation from singleton closures
-    singles = [c.of_mask(1 << p) for p in range(u.size)]
+    singles = [1 << a for a in range(u.size)]
+    for p, c in units[:binary_count]:
+        for a in bits(p or u.full_mask):
+            singles[a] |= c
     smaller = [0] * u.size
     for a in range(u.size):
         for b in bits(singles[a] & ~(1 << a)):
             if not singles[b] >> a & 1:
                 smaller[a] |= 1 << b
 
-    stem_masks = {e: fam.as_mask_set() for e, fam in table.stems_of.items()}
-    binary: list[Implication] = []
-    larger: list[Implication] = []
-    for stem, roots in table.roots_of.items():
-        for e in bits(roots.mask):
-            unit = Implication(stem, AttrSet(u, 1 << e))
-            if len(stem) <= 1:
-                binary.append(unit)
-            elif _order_minimal(stem.mask, e, smaller, stem_masks):
-                larger.append(unit)
-    binary.sort(key=Implication.key)
-    larger.sort(key=Implication.key)
-    return OrderedBase(
-        universe=u, items=tuple(binary + larger), binary_count=len(binary)
-    )
+    stems = {1 << e: fam.as_mask_set() for e, fam in table.stems_of.items()}
+    larger = [(p, c) for p, c in units[binary_count:] if _order_minimal(p, smaller, stems[c])]
+    return OrderedBase._of_pairs(u, tuple(units[:binary_count] + larger), binary_count)
 
 
-def _order_minimal(
-    stem: int, e: int, smaller: list[int], stem_masks: dict[int, frozenset[int]]
-) -> bool:
+def _order_minimal(stem: int, smaller: list[int], stems: frozenset[int]) -> bool:
     # replaceable iff swapping some premise element for a strictly smaller
-    # one yields another prime implicate for the same root
+    # one yields another of ``stems``, the stems of the same root
     for a in bits(stem):
         for a2 in bits(smaller[a] & ~stem):
-            if (stem & ~(1 << a)) | 1 << a2 in stem_masks[e]:
+            if (stem & ~(1 << a)) | 1 << a2 in stems:
                 return False
     return True
 
@@ -162,9 +175,9 @@ def ordered_close(ordered: OrderedBase, s: AttrSet, verify: bool = False) -> Att
     """
     ordered.universe._check(s)
     mask = s.mask
-    for imp in ordered.items:
-        if imp.premise.mask & ~mask == 0:
-            mask |= imp.conclusion.mask
+    for p, c in ordered._masks:
+        if p & ~mask == 0:
+            mask |= c
     if verify:
         true_mask = Closure.from_sigma(ordered.as_sigma()).of_mask(s.mask)
         if true_mask != mask:

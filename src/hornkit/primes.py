@@ -1,13 +1,13 @@
-"""Consensus closure of pure Horn clauses, primality tests, acyclicity
-analysis, and extraction of the nonredundant prime base of an acyclic
-operator.
+"""Consensus closure of pure Horn clauses, the unit primes (from the stem
+table), primality tests, acyclicity analysis, and extraction of the
+nonredundant prime base of an acyclic operator.
 """
 
 from __future__ import annotations
 
 from .canonical import remove_redundancy
 from .closure import _kernel
-from .core import AttrSet, Implication, ImplicationSet, Universe, _set, _Value, bits
+from .core import AttrSet, Implication, ImplicationSet, Universe, _set, _Value, bits, unit_expand
 from .dualize import StemTable
 from .errors import HornkitError, NotAcyclicError, UniverseMismatchError
 
@@ -73,21 +73,6 @@ def implications_of(clauses: list[HornClause], universe: Universe) -> Implicatio
     return ImplicationSet(universe, items)
 
 
-def _consensus(c1: HornClause, c2: HornClause) -> HornClause | None:
-    # exactly one opposite-literal pair, which must be a positive of one
-    # clause occurring negated in the other
-    p1_in = c1.positive is not None and c1.positive in c2.negatives
-    p2_in = c2.positive is not None and c2.positive in c1.negatives
-    if p1_in == p2_in:  # zero or two clashes
-        return None
-    if p2_in:
-        c1, c2 = c2, c1
-    # now c1.positive clashes with c2.negatives
-    u = c1.universe
-    negs = (c1.negatives.mask | c2.negatives.mask) & ~(1 << c1.positive)
-    return HornClause(AttrSet(u, negs), c2.positive)
-
-
 def consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
     """All prime implicates of a pure Horn CNF, by consensus to fixpoint with
     eager subsumption pruning. Output is subsumption-free, canonically sorted.
@@ -96,35 +81,40 @@ def consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
         return []
     if any(not c.is_pure() for c in clauses):
         raise HornkitError("consensus closure expects pure Horn clauses")
-    clauses[0].universe._check(*clauses)
-    active: list[HornClause] = []
+    u = clauses[0].universe
+    u._check(*clauses)
+    active: list[tuple[int, int]] = []
     alive: list[bool] = []
     pending: list[tuple[int, int]] = []
 
-    def push(cl: HornClause) -> None:
-        for i, a in enumerate(active):
-            if alive[i] and a.subsumes(cl):
+    def push(neg: int, pos: int) -> None:
+        for i, (n, p) in enumerate(active):
+            if alive[i] and p == pos and not n & ~neg:
                 return
-        for i, a in enumerate(active):
-            if alive[i] and cl.subsumes(a):
+        for i, (n, p) in enumerate(active):
+            if alive[i] and p == pos and not neg & ~n:
                 alive[i] = False
         idx = len(active)
-        active.append(cl)
+        active.append((neg, pos))
         alive.append(True)
         for i in range(idx):
             if alive[i]:
                 pending.append((i, idx))
 
     for cl in clauses:
-        push(cl)
+        push(cl.negatives.mask, cl.positive)
     while pending:
         i, j = pending.pop()
         if not (alive[i] and alive[j]):
             continue
-        res = _consensus(active[i], active[j])
-        if res is not None:
-            push(res)
-    out = [c for c, ok in zip(active, alive) if ok]
+        # the consensus needs exactly one opposite-literal pair, which must
+        # be the positive of one clause occurring negated in the other
+        (n1, p1), (n2, p2) = active[i], active[j]
+        if n2 >> p1 & 1 and not n1 >> p2 & 1:
+            push((n1 | n2) & ~(1 << p1), p2)
+        elif n1 >> p2 & 1 and not n2 >> p1 & 1:
+            push((n1 | n2) & ~(1 << p2), p1)
+    out = [HornClause(AttrSet(u, neg), pos) for (neg, pos), ok in zip(active, alive) if ok]
     out.sort(key=HornClause.key)
     return out
 
@@ -132,11 +122,10 @@ def consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
 def unit_primes(sigma: ImplicationSet) -> ImplicationSet:
     """All unit prime implicates of sigma's operator: stem -> e for each
     stem and each of its roots, the clauses consensus_closure would reach
-    from sigma's, in the same order.
+    from sigma's, in the same order: the unit expansion of the stem table's
+    canonical direct base, sorted, which ``direct.d_basis`` reads too.
     """
-    roots_of = StemTable.of(sigma).roots_of
-    units = [(stem.mask, 1 << e) for stem, roots in roots_of.items() for e in roots]
-    return ImplicationSet.from_pairs(sigma.universe, units).sorted()
+    return unit_expand(StemTable.of(sigma).direct_base()).sorted()
 
 
 def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) -> bool:

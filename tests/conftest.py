@@ -15,6 +15,8 @@ from typing import Iterable, Iterator
 
 from hornkit import (
     AttrSet,
+    HornClause,
+    HornkitError,
     Implication,
     ImplicationSet,
     SetFamily,
@@ -284,6 +286,35 @@ def brute_unit_primes(n: int, closed: list[int]) -> set[tuple[int, int]]:
     return {(u, e) for e, us in stems.items() for u in us}
 
 
+def brute_d_basis(n: int, closed: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """The D-basis from its definition: every unit prime implicate U -> e
+    (U a stem of e) with |U| <= 1, then each one with a larger U in which
+    no member a can be swapped for an a' with c({a'}) a proper subset of
+    c({a}) to give another stem of e; each block sorted by |U|, then U's
+    positions, then e. Returns the (premise, conclusion) mask pairs and the
+    length of the first block."""
+    full = (1 << n) - 1
+    stems = brute_stems(n, closed)
+    single = [oracle_close(closed, full, 1 << a) for a in range(n)]
+
+    def replaceable(prem: int, e: int) -> bool:
+        return any(
+            prem >> a & 1 and single[a2] != single[a] and single[a2] & ~single[a] == 0
+            and (prem & ~(1 << a)) | 1 << a2 in stems[e]
+            for a in range(n) for a2 in range(n)
+        )
+
+    units = sorted(
+        brute_unit_primes(n, closed),
+        key=lambda unit: (unit[0].bit_count(), [p for p in range(n) if unit[0] >> p & 1], unit[1]),
+    )
+    binary = [(prem, 1 << e) for prem, e in units if prem.bit_count() <= 1]
+    larger = [
+        (prem, 1 << e) for prem, e in units if prem.bit_count() > 1 and not replaceable(prem, e)
+    ]
+    return binary + larger, len(binary)
+
+
 def brute_pseudoclosed(n: int, closed: list[int]) -> set[int]:
     """Pseudoclosed sets straight from the quasiclosure definition:
     minimal properly quasiclosed member of each closure class."""
@@ -530,6 +561,63 @@ def reference_expand(rows: Iterable[Row]) -> list[Row]:
                 out += reference_expand([(ones | below, zeros | bit, free | above, rest)])
                 below |= bit
     return out
+
+
+# -- consensus on clause objects, before its mask-pair loop --------------------
+
+
+def reference_consensus_closure(clauses: list[HornClause]) -> list[HornClause]:
+    """Consensus to fixpoint on ``HornClause`` objects, one new object per
+    resolvent: the push, subsumption and pending-pair loop that
+    ``primes.consensus_closure`` runs on (negatives mask, positive) pairs,
+    so both give the same list in the same order."""
+    if not clauses:
+        return []
+    if any(not c.is_pure() for c in clauses):
+        raise HornkitError("consensus closure expects pure Horn clauses")
+    active: list[HornClause] = []
+    alive: list[bool] = []
+    pending: list[tuple[int, int]] = []
+
+    def resolve(c1: HornClause, c2: HornClause) -> HornClause | None:
+        # exactly one opposite-literal pair, which must be a positive of one
+        # clause occurring negated in the other
+        p1_in = c1.positive in c2.negatives
+        p2_in = c2.positive in c1.negatives
+        if p1_in == p2_in:  # zero or two clashes
+            return None
+        if p2_in:
+            c1, c2 = c2, c1
+        negs = (c1.negatives.mask | c2.negatives.mask) & ~(1 << c1.positive)
+        return HornClause(AttrSet(c1.universe, negs), c2.positive)
+
+    def push(cl: HornClause) -> None:
+        for i, a in enumerate(active):
+            if alive[i] and a.subsumes(cl):
+                return
+        for i, a in enumerate(active):
+            if alive[i] and cl.subsumes(a):
+                alive[i] = False
+        idx = len(active)
+        active.append(cl)
+        alive.append(True)
+        for i in range(idx):
+            if alive[i]:
+                pending.append((i, idx))
+
+    for cl in clauses:
+        push(cl)
+    while pending:
+        i, j = pending.pop()
+        if not (alive[i] and alive[j]):
+            continue
+        res = resolve(active[i], active[j])
+        if res is not None:
+            push(res)
+    out = [c for c, ok in zip(active, alive) if ok]
+    out.sort(key=HornClause.key)
+    return out
+
 
 
 # -- random instances ----------------------------------------------------------

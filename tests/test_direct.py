@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from hornkit import (
@@ -14,6 +17,8 @@ from hornkit import (
     classify_stems,
     close,
     d_basis,
+    load_family,
+    load_implications,
     ordered_close,
     pseudoclosed_sets,
     quasiclosure,
@@ -30,6 +35,8 @@ from conftest import (
     EQ35_DB,
     U6,
     aset,
+    brute_d_basis,
+    brute_family_closed,
     brute_stems,
     brute_closed_masks,
     fam,
@@ -49,6 +56,35 @@ def chain(n: int) -> ImplicationSet:
     """x_1 -> x_2 -> ... -> x_n."""
     u = uni(n)
     return sig(u, *(f"{i} -> {i + 1}" for i in range(1, n)))
+
+
+def rule_file(rng, n: int) -> str:
+    """An implication file over 1..n: up to 2n rules in no order, with
+    premises of 0-3 positions and conclusions of 1-2, sometimes a repeat."""
+    labels = [str(p) for p in range(1, n + 1)]
+    rules = [
+        f"{' '.join(rng.sample(labels, min(n, rng.choice((0, 1, 2, 2, 3)))))} -> "
+        + " ".join(rng.sample(labels, min(n, rng.randint(1, 2))))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    if rules and rng.random() < 0.3:
+        rules.insert(rng.randrange(len(rules)), rng.choice(rules))
+    return "\n".join([f"elements: {' '.join(labels)}", *rules]) + "\n"
+
+
+def family_file(rng, n: int) -> str:
+    """A family file over 1..n: up to 6 members in no order, sometimes a
+    repeated member and sometimes the empty set ("-")."""
+    labels = [str(p) for p in range(1, n + 1)]
+    members = [
+        " ".join(lab for lab in labels if rng.random() < 0.6) or "-"
+        for _ in range(rng.randint(0, 6))
+    ]
+    if members and rng.random() < 0.5:
+        members.insert(rng.randrange(len(members)), rng.choice(members))
+    if rng.random() < 0.3:
+        members.insert(rng.randrange(len(members) + 1), "-")
+    return "\n".join([f"elements: {' '.join(labels)}", *members]) + "\n"
 
 
 def stems_as_masks(table, e):
@@ -269,6 +305,48 @@ class TestDBasis:
         db = d_basis(sig(u, "-> 1", "1 2 -> 3"))
         assert db.items[0].premise.mask == 0
 
+    def test_matches_brute_force_on_every_source_kind(self):
+        # implication files, families with repeated and empty members, and
+        # bare operators of either, n = 1-8: the rules, their order and the
+        # binary count all come from the definition
+        for case in range(330):
+            rng = rng_for(54000 + case)
+            n = rng.randint(1, 8)
+            if case % 2:
+                _, source = load_family(family_file(rng, n))
+                closed = brute_family_closed(n, source)
+            else:
+                _, source = load_implications(rule_file(rng, n))
+                closed = brute_closed_masks(n, source)
+            if case % 3 == 0:
+                source = Closure.wrap(source)
+            want, binary_count = brute_d_basis(n, closed)
+            got = d_basis(source)
+            assert got.as_sigma().mask_pairs() == want, case
+            assert got.binary_count == binary_count, case
+
+    def test_result_is_the_value_built_from_objects(self):
+        # d_basis keeps mask pairs and builds no Implication until items is
+        # read; eq, hash, pickles and copies agree with the base built from
+        # the objects, before that read and after it
+        sources = [EQ35_DB] + [
+            load_implications(rule_file(rng_for(55000 + case), 6))[1] for case in range(12)
+        ]
+        for source in sources:
+            got = d_basis(source)
+            made = OrderedBase(source.universe, d_basis(source).items, got.binary_count)
+            assert got._objects is None
+            for items_read in (False, True):
+                if items_read:
+                    assert got.items == made.items and repr(got) == repr(made)
+                assert got == made and hash(got) == hash(made)
+                for back in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), copy.copy(got)):
+                    assert type(back) is OrderedBase and back._objects is None
+                    assert back == made and hash(back) == hash(made)
+                    assert back.binary_count == made.binary_count
+                    assert back.items == made.items
+                assert (got._objects is None) is not items_read
+
 
 class TestOrderedClose:
     def test_worked_example(self):
@@ -287,6 +365,15 @@ class TestOrderedClose:
     def test_binary_prefix_enforced(self):
         with pytest.raises(InvariantError):
             OrderedBase(universe=U6, items=EQ35_DB.items, binary_count=6)
+
+    def test_binary_count_outside_the_items_refused(self):
+        # a count below 0 or past the end would make binary_part a prefix
+        # other than the one it names
+        binary = EQ35_DB.items[:5]
+        assert OrderedBase(U6, binary, 5).binary_part() == binary
+        for items, count in ((binary, -1), (binary[:1], 5), (binary, 6), ((), 1)):
+            with pytest.raises(InvariantError, match="^binary count"):
+                OrderedBase(U6, items, count)
 
     def test_verify_flag_raises_on_bad_ordering(self):
         u = uni(3)

@@ -38,6 +38,7 @@ from conftest import (
     pairs,
     rand_mask,
     rand_sigma,
+    reference_consensus_closure,
     rng_for,
     sig,
     uni,
@@ -102,6 +103,28 @@ class TestConsensus:
     def test_rejects_impure_input(self):
         with pytest.raises(HornkitError):
             consensus_closure([HornClause(negatives=aset(U6, "1"), positive=None)])
+
+    def test_matches_the_object_loop(self):
+        # unsorted clause lists with repeats and empty-premise clauses give
+        # the list the same loop on HornClause objects gives, order included
+        changed = 0
+        for case in range(320):
+            rng = rng_for(56000 + case)
+            n = rng.randint(1, 7)
+            u = uni(n)
+            clauses = []
+            for _ in range(rng.randint(0, 2 * n)):
+                pos = rng.randrange(n)
+                others = [p for p in range(n) if p != pos]
+                k = 0 if not others or rng.random() < 0.15 else rng.randint(1, min(3, len(others)))
+                negs = sum(1 << p for p in rng.sample(others, k))
+                clauses.append(HornClause(u.from_mask(negs), pos))
+            for _ in range(rng.randint(0, 2) if clauses else 0):
+                clauses.insert(rng.randrange(len(clauses)), rng.choice(clauses))
+            want = reference_consensus_closure(list(clauses))
+            assert consensus_closure(list(clauses)) == want, case
+            changed += set(want) != set(clauses)
+        assert changed >= 150
 
 
 class TestUnitPrimes:
