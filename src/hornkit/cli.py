@@ -190,9 +190,13 @@ def _cmd_stems(args, universe, source) -> Iterator[str]:
     elif args.element is not None:
         yield direct.stem_table(source).stems_of[_element(args.element, universe)].render()
     else:
-        for pos, stems in direct.stem_table(source).stems_of.items():
-            for stem in stems:
-                yield f"{universe.labels[pos]}: {set_text(stem)}"
+        # one block: per element in position order, its stems in key order
+        labels, text = universe.labels, universe.text
+        yield "\n".join([
+            f"{labels[pos]}: {text(m) or '-'}"
+            for pos, stems in direct.stem_table(source).stems_of.items()
+            for m in stems.masks()
+        ])
 
 
 def _cmd_dualize(args, universe, source) -> Iterator[str]:

@@ -1,5 +1,10 @@
 """Stems and roots, the canonical direct base, strong-stem classification,
 the D-basis (from the stem table alone), and one-pass ordered closure.
+
+Everything here reads the stem table's masks: the ``stems_of`` and
+``roots_of`` views are built only by ``dualize.StemTable``'s properties,
+when a caller reads them, and ``classify_stems`` builds ``AttrSet``s only
+for its result.
 """
 
 from __future__ import annotations
@@ -73,15 +78,15 @@ def classify_stems(
     u = c.universe
     u._check(table)
     out: dict[AttrSet, StemClassification] = {}
-    for stem, roots in table.roots_of.items():
-        cl = c.of_mask(stem.mask)
-        strong = roots.mask == cl & ~stem.mask
+    for stem, roots in table.direct_base().mask_pairs():
+        cl = c.of_mask(stem)
+        strong = roots == cl & ~stem
         minimal_for = 0
-        for e in bits(roots.mask):
-            competitors = [c.of_mask(s) for s in table.stems_of[e].masks()]
+        for e in bits(roots):
+            competitors = [c.of_mask(s) for s in table._stems[e]]
             if not any(other != cl and other & ~cl == 0 for other in competitors):
                 minimal_for |= 1 << e
-        out[stem] = StemClassification(
+        out[AttrSet(u, stem)] = StemClassification(
             strong=strong, closure_minimal_for=AttrSet(u, minimal_for)
         )
     return out
@@ -134,11 +139,12 @@ def d_basis(source: ClosureSource) -> OrderedBase:
     Applied once each, in order, the implications close any set in one pass.
     The unit primes come as ``primes.unit_primes`` lists them, the binary
     block first. The canonical direct base closes in one step, so c({a}) is
-    a plus the conclusions of the binary units on {} and on {a}.
+    a plus the conclusions of the binary units on {} and on {a}. The stems
+    of each root are read off the table's masks; no ``AttrSet`` is built.
     """
     table = stem_table(source)
     u = table.universe
-    units = unit_expand(table.direct_base()).sorted().mask_pairs()
+    units = unit_expand(table.direct_base()).mask_pairs()
     binary_count = sum(1 for p, _ in units if p.bit_count() <= 1)
 
     # strictly-smaller relation from singleton closures
@@ -152,7 +158,7 @@ def d_basis(source: ClosureSource) -> OrderedBase:
             if not singles[b] >> a & 1:
                 smaller[a] |= 1 << b
 
-    stems = {1 << e: fam.as_mask_set() for e, fam in table.stems_of.items()}
+    stems = {1 << e: frozenset(ms) for e, ms in table._stems.items()}
     larger = [(p, c) for p, c in units[binary_count:] if _order_minimal(p, smaller, stems[c])]
     return OrderedBase._of_pairs(u, tuple(units[:binary_count] + larger), binary_count)
 

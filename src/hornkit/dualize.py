@@ -1,6 +1,10 @@
 """Minimal transversals of simple hypergraphs, max(F,e) / cmax(F,e), the
 stem table built from them, the stem <-> meet-irreducible bridges, M(F)
 extraction, and minimal keys.
+
+``StemTable.of`` keeps the stems and roots as masks; the ``stems_of`` and
+``roots_of`` views of ``SetFamily``s and ``AttrSet``s are built by their
+properties on ``StemTable``, on first read.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from .core import (
     ImplicationSet,
     SetFamily,
     Universe,
+    _set,
+    _set_key,
     _Value,
     bits,
     extreme_masks,
@@ -105,9 +111,19 @@ def _stem_masks(tops: list[tuple[int, int]], e: int, full: int) -> list[int]:
 
 
 class StemTable(_Value):
-    """stems(e) per element and roots(U) per stem."""
+    """stems(e) per element and roots(U) per stem, held as masks:
+    ``_stems`` maps each position to its stem masks and ``_roots`` each
+    stem mask to its roots mask.
 
-    __slots__ = _fields = ("universe", "stems_of", "roots_of")
+    The fields ``stems_of`` (position -> ``SetFamily`` of its stems, in
+    ``AttrSet.key`` order) and ``roots_of`` (stem -> roots, ``AttrSet``s in
+    the key order of the stems) are views, built on first read from one
+    key-order sort of the stems and kept; a table made from them keeps
+    them. Eq, repr and pickles read the views.
+    """
+
+    __slots__ = ("universe", "_stems", "_roots", "_order", "_stems_of", "_roots_of")
+    _fields = ("universe", "stems_of", "roots_of")
 
     def __init__(
         self,
@@ -116,13 +132,60 @@ class StemTable(_Value):
         roots_of: dict[AttrSet, AttrSet],  # stem -> its roots
     ):
         universe._check(*stems_of.values(), *roots_of, *roots_of.values())
-        self._init(universe, stems_of, roots_of)
+        for e in stems_of:
+            universe._check_position(e)
+        roots = {s.mask: r.mask for s, r in roots_of.items()}
+        self._fill(universe, {e: f.masks() for e, f in stems_of.items()}, roots)
+        _set(self, "_order", tuple(roots))
+        _set(self, "_stems_of", stems_of)
+        _set(self, "_roots_of", roots_of)
+
+    def _fill(self, universe: Universe, stems: dict[int, list[int]], roots: dict[int, int]):
+        _set(self, "universe", universe)
+        _set(self, "_stems", stems)
+        _set(self, "_roots", roots)
+        _set(self, "_order", None)
+        _set(self, "_stems_of", None)
+        _set(self, "_roots_of", None)
+        return self
+
+    def _ordered(self) -> tuple[int, ...]:
+        """The stem masks in the order of ``roots_of``, sorted on first use."""
+        order = self._order
+        if order is None:
+            order = tuple(sorted(self._roots, key=_set_key))
+            _set(self, "_order", order)
+        return order
+
+    @property
+    def stems_of(self) -> dict[int, SetFamily]:
+        fams = self._stems_of
+        if fams is None:
+            # one walk of the sorted stems leaves each element's in order
+            per: dict[int, list[int]] = {e: [] for e in self._stems}
+            roots = self._roots
+            for s in self._ordered():
+                for e in bits(roots[s]):
+                    per[e].append(s)
+            u = self.universe
+            fams = {e: SetFamily._of(u, tuple(ms)) for e, ms in per.items()}
+            _set(self, "_stems_of", fams)
+        return fams
+
+    @property
+    def roots_of(self) -> dict[AttrSet, AttrSet]:
+        objs = self._roots_of
+        if objs is None:
+            u, roots = self.universe, self._roots
+            objs = {AttrSet(u, s): AttrSet(u, roots[s]) for s in self._ordered()}
+            _set(self, "_roots_of", objs)
+        return objs
 
     def direct_base(self) -> ImplicationSet:
-        """The canonical direct base {X -> roots(X) : X a stem}."""
-        return ImplicationSet.from_pairs(
-            self.universe, [(stem.mask, roots.mask) for stem, roots in self.roots_of.items()]
-        )
+        """The canonical direct base {X -> roots(X) : X a stem}, in the
+        order of ``roots_of``."""
+        roots = self._roots
+        return ImplicationSet._of(self.universe, tuple([(s, roots[s]) for s in self._ordered()]))
 
     @classmethod
     def of(cls, source: ClosureSource) -> StemTable:
@@ -130,16 +193,14 @@ class StemTable(_Value):
         max(F,e) read off the 012 rows, the family, or the closed sets."""
         u = source_universe(source)
         tops = _row_tops(source)
-        stems_of: dict[int, SetFamily] = {}
-        roots_by_stem: dict[int, int] = {}
+        stems: dict[int, list[int]] = {}
+        roots: dict[int, int] = {}
         for e in range(u.size):
-            ms = _stem_masks(tops, e, u.full_mask)
+            ms = stems[e] = _stem_masks(tops, e, u.full_mask)
+            bit = 1 << e
             for m in ms:
-                roots_by_stem[m] = roots_by_stem.get(m, 0) | 1 << e
-            stems_of[e] = SetFamily.from_masks(u, ms)
-        stems = SetFamily.from_masks(u, roots_by_stem)
-        roots_of = {s: AttrSet(u, roots_by_stem[s.mask]) for s in stems}
-        return cls(universe=u, stems_of=stems_of, roots_of=roots_of)
+                roots[m] = roots.get(m, 0) | bit
+        return cls.__new__(cls)._fill(u, stems, roots)
 
 
 def max_noncovers(source: ClosedSource, e: int) -> SetFamily:
@@ -203,13 +264,25 @@ def cmax_from_stems(table: StemTable, e: int) -> SetFamily:
     """cmax(F,e) as mtr(stems(e) ∪ {{e}}); complementing gives max(F,e)."""
     u = table.universe
     u._check_position(e)
-    return minimal_transversals(SetFamily.from_masks(u, table.stems_of[e].masks() + [1 << e]))
+    return minimal_transversals(SetFamily.from_masks(u, [*table._stems[e], 1 << e]))
 
 
 def minimal_keys(source: ClosedSource) -> SetFamily:
     """All minimal generating sets of E: the minimal transversals of the
     complements of the hyperplanes (the maximal closed sets below E).
+
+    A closed set below E lies in a row whose top is either below E, and
+    closed, or E itself, and then the row also holds E less e for each e
+    it does not force. The hyperplanes are the maximal ones among those
+    tops and those sets.
     """
     u = source_universe(source)
-    hyper = extreme_masks(meet_irreducibles(source).masks(), maximal=True)
-    return minimal_transversals(SetFamily.from_masks(u, [u.full_mask & ~m for m in hyper]))
+    full = u.full_mask
+    below = []
+    for forced, top in _row_tops(source):
+        if top != full:
+            below.append(top)
+        else:
+            below.extend([full & ~(1 << e) for e in bits(full & ~forced)])
+    hyper = extreme_masks(below, maximal=True)
+    return minimal_transversals(SetFamily.from_masks(u, [full & ~m for m in hyper]))

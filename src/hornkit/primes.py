@@ -123,9 +123,11 @@ def unit_primes(sigma: ImplicationSet) -> ImplicationSet:
     """All unit prime implicates of sigma's operator: stem -> e for each
     stem and each of its roots, the clauses consensus_closure would reach
     from sigma's, in the same order: the unit expansion of the stem table's
-    canonical direct base, sorted, which ``direct.d_basis`` reads too.
+    canonical direct base, which ``direct.d_basis`` reads too. That base
+    lists its premises in ``AttrSet.key`` order and each premise's roots
+    ascend, so the units are already in ``Implication.key`` order.
     """
-    return unit_expand(StemTable.of(sigma).direct_base()).sorted()
+    return unit_expand(StemTable.of(sigma).direct_base())
 
 
 def is_prime_implicate(sigma: ImplicationSet, clause: HornClause | Implication) -> bool:

@@ -15,12 +15,15 @@ from typing import Iterable, Iterator
 
 from hornkit import (
     AttrSet,
+    Closure,
     HornClause,
     HornkitError,
     Implication,
     ImplicationSet,
     SetFamily,
     Universe,
+    load_family,
+    load_implications,
 )
 
 SEED = 0xC0FFEE
@@ -655,3 +658,53 @@ def rand_antichain(rng: random.Random, u: Universe, k: int = 5) -> SetFamily:
 def rand_family(rng: random.Random, u: Universe, k: int = 5) -> SetFamily:
     sets = tuple(AttrSet(u, rand_mask(rng, u.size)) for _ in range(k))
     return SetFamily(u, sets)
+
+
+def rule_file(rng: random.Random, n: int) -> str:
+    """An implication file over 1..n: up to 2n rules in no order, with
+    premises of 0-3 positions and conclusions of 1-2, sometimes a repeat."""
+    labels = [str(p) for p in range(1, n + 1)]
+    rules = [
+        f"{' '.join(rng.sample(labels, min(n, rng.choice((0, 1, 2, 2, 3)))))} -> "
+        + " ".join(rng.sample(labels, min(n, rng.randint(1, 2))))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    if rules and rng.random() < 0.3:
+        rules.insert(rng.randrange(len(rules)), rng.choice(rules))
+    return "\n".join([f"elements: {' '.join(labels)}", *rules]) + "\n"
+
+
+def family_file(rng: random.Random, n: int) -> str:
+    """A family file over 1..n: up to 6 members in no order, sometimes a
+    repeated member and sometimes the empty set ("-")."""
+    labels = [str(p) for p in range(1, n + 1)]
+    members = [
+        " ".join(lab for lab in labels if rng.random() < 0.6) or "-"
+        for _ in range(rng.randint(0, 6))
+    ]
+    if members and rng.random() < 0.5:
+        members.insert(rng.randrange(len(members)), rng.choice(members))
+    if rng.random() < 0.3:
+        members.insert(rng.randrange(len(members) + 1), "-")
+    return "\n".join([f"elements: {' '.join(labels)}", *members]) + "\n"
+
+
+def seeded_source(seed: int, case: int, full: bool = False):
+    """``(n, source, closed masks)`` of one seeded source over 1..n, n = 1-8:
+    an implication file on even cases, a family file on odd ones (with
+    ``full``, sometimes also listing E), and every third one wrapped as a
+    bare ``Closure``. The closed sets come from the brute-force filters."""
+    rng = rng_for(seed + case)
+    n = rng.randint(1, 8)
+    if case % 2:
+        text = family_file(rng, n)
+        if full and rng.random() < 0.4:
+            text += " ".join(str(p) for p in range(1, n + 1)) + "\n"
+        source = load_family(text)[1]
+        closed = brute_family_closed(n, source)
+    else:
+        source = load_implications(rule_file(rng, n))[1]
+        closed = brute_closed_masks(n, source)
+    if case % 3 == 0:
+        source = Closure.wrap(source)
+    return n, source, closed

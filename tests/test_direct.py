@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from hornkit import (
+    AttrSet,
     BoundExceededError,
     Closure,
     ImplicationSet,
@@ -11,13 +12,13 @@ from hornkit import (
     NotDirectError,
     OrderedBase,
     SetFamily,
+    StemTable,
     Universe,
     UniverseMismatchError,
     canonical_direct,
     classify_stems,
     close,
     d_basis,
-    load_family,
     load_implications,
     ordered_close,
     pseudoclosed_sets,
@@ -27,6 +28,7 @@ from hornkit import (
     unit_expand,
     unit_primes,
 )
+from hornkit.cli import main
 
 from conftest import (
     EQ25_MF,
@@ -36,13 +38,14 @@ from conftest import (
     U6,
     aset,
     brute_d_basis,
-    brute_family_closed,
     brute_stems,
     brute_closed_masks,
     fam,
     pairs,
     rand_sigma,
     rng_for,
+    rule_file,
+    seeded_source,
     sig,
     uni,
 )
@@ -58,37 +61,15 @@ def chain(n: int) -> ImplicationSet:
     return sig(u, *(f"{i} -> {i + 1}" for i in range(1, n)))
 
 
-def rule_file(rng, n: int) -> str:
-    """An implication file over 1..n: up to 2n rules in no order, with
-    premises of 0-3 positions and conclusions of 1-2, sometimes a repeat."""
-    labels = [str(p) for p in range(1, n + 1)]
-    rules = [
-        f"{' '.join(rng.sample(labels, min(n, rng.choice((0, 1, 2, 2, 3)))))} -> "
-        + " ".join(rng.sample(labels, min(n, rng.randint(1, 2))))
-        for _ in range(rng.randint(0, 2 * n))
-    ]
-    if rules and rng.random() < 0.3:
-        rules.insert(rng.randrange(len(rules)), rng.choice(rules))
-    return "\n".join([f"elements: {' '.join(labels)}", *rules]) + "\n"
-
-
-def family_file(rng, n: int) -> str:
-    """A family file over 1..n: up to 6 members in no order, sometimes a
-    repeated member and sometimes the empty set ("-")."""
-    labels = [str(p) for p in range(1, n + 1)]
-    members = [
-        " ".join(lab for lab in labels if rng.random() < 0.6) or "-"
-        for _ in range(rng.randint(0, 6))
-    ]
-    if members and rng.random() < 0.5:
-        members.insert(rng.randrange(len(members)), rng.choice(members))
-    if rng.random() < 0.3:
-        members.insert(rng.randrange(len(members) + 1), "-")
-    return "\n".join([f"elements: {' '.join(labels)}", *members]) + "\n"
-
-
 def stems_as_masks(table, e):
     return {s.mask for s in table.stems_of[e]}
+
+
+def key_order(masks):
+    """The masks by size, then positions, as the library's key orders sets."""
+    return sorted(
+        masks, key=lambda m: (m.bit_count(), [p for p in range(m.bit_length()) if m >> p & 1])
+    )
 
 
 class TestStemTable:
@@ -144,6 +125,94 @@ class TestStemTable:
                 for e in range(n):
                     assert stems_as_masks(t, e) == want[e]
             assert c._memo == {}
+
+    def test_matches_brute_force_in_order_on_every_source_kind(self):
+        # implication files, families with repeated and empty members, and
+        # bare operators of either, n = 1-8: each element's stems in key
+        # order, and the direct base's (stem, roots) pairs in the key order
+        # of the stems, from the table, its views and canonical_direct
+        for case in range(330):
+            n, source, closed = seeded_source(56000, case)
+            want = brute_stems(n, closed)
+            roots: dict[int, int] = {}
+            for e, stems in want.items():
+                for m in stems:
+                    roots[m] = roots.get(m, 0) | 1 << e
+            base = [(m, roots[m]) for m in key_order(roots)]
+            assert canonical_direct(source).mask_pairs() == base, case
+            t = StemTable.of(source)
+            assert t.direct_base().mask_pairs() == base, case
+            assert list(t.stems_of) == list(range(n)), case
+            for e in range(n):
+                assert t.stems_of[e].masks() == key_order(want[e]), case
+            assert [(s.mask, r.mask) for s, r in t.roots_of.items()] == base, case
+
+    def test_table_is_the_value_built_from_its_views(self):
+        # StemTable.of keeps masks and builds its views on first read; eq,
+        # repr, hash (none: the fields are dicts) and pickles agree with the
+        # table built from those views, before that read and after it
+        sources = [EQ25_MF] + [seeded_source(57000, case)[1] for case in range(12)]
+        for source in sources:
+            first = StemTable.of(source)
+            made = StemTable(first.universe, first.stems_of, first.roots_of)
+            for views_read in (False, True):
+
+                def fresh():
+                    t = StemTable.of(source)
+                    assert t._stems_of is None and t._roots_of is None
+                    if views_read:
+                        assert t.stems_of == made.stems_of and t.roots_of == made.roots_of
+                    return t
+
+                assert fresh() == made and made == fresh() and not fresh() != made
+                assert repr(fresh()) == repr(made)
+                assert fresh().direct_base() == made.direct_base()
+                for t in (fresh(), made):
+                    with pytest.raises(TypeError, match="unhashable"):
+                        hash(t)
+                for back in (
+                    pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh()), copy.copy(fresh())
+                ):
+                    assert type(back) is StemTable
+                    assert back == made and repr(back) == repr(made)
+
+    def test_table_and_its_consumers_build_no_attrset(self, monkeypatch, tmp_path, capsys):
+        # the table, the direct base, the D-basis, the unit primes and the
+        # stems verb read masks only; the table builds no SetFamily either
+        files = {"--sigma": tmp_path / "eq27.imp", "--family": tmp_path / "eq25.fam"}
+        files["--sigma"].write_text("elements: 1 2 3 4 5 6\n" + EQ27_CD.render() + "\n")
+        files["--family"].write_text("elements: 1 2 3 4 5 6\n" + EQ25_MF.render() + "\n")
+        sources = [EQ25_MF, EQ27_CD, Closure.wrap(EQ25_MF), Closure.wrap(EQ27_CD)] + [
+            seeded_source(58000, case)[1] for case in range(12)
+        ]
+        lines = sum(len(f) for f in stem_table(EQ25_MF).stems_of.values())
+        built = {AttrSet: 0, SetFamily: 0}
+        init, fill = AttrSet.__init__, SetFamily._fill
+
+        def counted_init(self, universe, mask):
+            built[AttrSet] += 1
+            init(self, universe, mask)
+
+        def counted_fill(self, *args):
+            built[SetFamily] += 1
+            return fill(self, *args)
+
+        monkeypatch.setattr(AttrSet, "__init__", counted_init)
+        monkeypatch.setattr(SetFamily, "_fill", counted_fill)
+        for source in sources:
+            StemTable.of(source)
+        assert built == {AttrSet: 0, SetFamily: 0}
+        for source in sources:
+            canonical_direct(source)
+            d_basis(source)
+            if isinstance(source, ImplicationSet):
+                unit_primes(source)
+        for flag, path in files.items():
+            assert main(["stems", flag, str(path)]) == 0
+        assert built[AttrSet] == 0
+        assert capsys.readouterr().out.count("\n") == 2 * lines
+        StemTable.of(EQ25_MF).roots_of
+        assert built[AttrSet] == 2 * len(EQ27_CD)
 
     def test_bound_refusal(self, monkeypatch):
         # a chain x_1 -> ... -> x_n has n - 1 premise elements; the limit is
@@ -310,16 +379,7 @@ class TestDBasis:
         # bare operators of either, n = 1-8: the rules, their order and the
         # binary count all come from the definition
         for case in range(330):
-            rng = rng_for(54000 + case)
-            n = rng.randint(1, 8)
-            if case % 2:
-                _, source = load_family(family_file(rng, n))
-                closed = brute_family_closed(n, source)
-            else:
-                _, source = load_implications(rule_file(rng, n))
-                closed = brute_closed_masks(n, source)
-            if case % 3 == 0:
-                source = Closure.wrap(source)
+            n, source, closed = seeded_source(54000, case)
             want, binary_count = brute_d_basis(n, closed)
             got = d_basis(source)
             assert got.as_sigma().mask_pairs() == want, case

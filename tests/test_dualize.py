@@ -25,11 +25,13 @@ from conftest import (
     aset,
     brute_closed_masks,
     brute_meet_irreducibles,
+    brute_minimal_keys,
     brute_mtr,
     fam,
     rand_antichain,
     rand_sigma,
     rng_for,
+    seeded_source,
     sig,
     uni,
 )
@@ -274,3 +276,20 @@ class TestMinimalKeys:
                 )
             }
             assert masks(keys) == want
+
+    def test_matches_brute_force_on_every_source_kind(self):
+        # implication files, families with repeated, empty and full members,
+        # and bare operators of either, n = 1-8: the hyperplanes come off
+        # the row tops, and family input keeps the transversal route
+        for case in range(330):
+            n, source, closed = seeded_source(59000, case, full=True)
+            assert masks(minimal_keys(source)) == brute_minimal_keys(n, closed), case
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_only_e_closed(self, n):
+        # F = {E}: E has no hyperplane, so the empty set is the one key
+        u = uni(n)
+        e = " ".join(str(p) for p in range(1, n + 1))
+        for source in (SetFamily(u, ()), fam(u, e), fam(u, e, e), sig(u, f"-> {e}")):
+            for s in (source, Closure.wrap(source)):
+                assert masks(minimal_keys(s)) == {0}

@@ -127,6 +127,7 @@ POSITION_CASES = {
     "ImplicationGraph.reachable_from":
         lambda u, e: ImplicationGraph.from_sigma(sigma(u)).reachable_from(e),
     "cmax_from_stems": lambda u, e: cmax_from_stems(stem_table(sigma(u)), e),
+    "StemTable.stems_of position": lambda u, e: StemTable(u, {e: family(u)}, {}),
     "max_noncovers.sigma": lambda u, e: max_noncovers(sigma(u), e),
     "max_noncovers.family": lambda u, e: max_noncovers(family(u), e),
     "stems_from_meetirr": lambda u, e: stems_from_meetirr(family(u), e),
