@@ -607,26 +607,34 @@ def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
 
 
 def _lectic_from_rows(universe: Universe, flat: Iterable[Row]) -> Iterator[int]:
-    """The members of disjoint bubble-free rows, in lectic order.
+    """The members of disjoint bubble-free rows, in lectic order: the
+    sorted ``_lectic_keys``, each cut back to its low half."""
+    keys = _lectic_keys(universe.size, flat)
+    keys.sort()
+    return map(universe.full_mask.__and__, keys)
+
+
+def _lectic_keys(n: int, flat: Iterable[Row]) -> list[int]:
+    """The sort keys of the members of disjoint bubble-free rows over n
+    positions, row by row.
 
     A member m is sorted as one plain integer: m with its bits reversed in
     the high half, where the smallest position is the most significant,
     and m itself in the low half. So the sorted integers are in lectic
     order, and the low half gives each set back without a second reversal.
+    A row's forced ones are reversed in one step, through their bit
+    string; each free position then doubles the row's keys.
     """
-    n = universe.size
+    fmt = f"0{n}b"
     top = 2 * n - 1
     keys: list[int] = []
     for ones, _, free, _ in flat:
-        row = [ones]
-        for p in bits(ones):
-            row[0] |= 1 << (top - p)
+        row = [int(format(ones, fmt)[::-1], 2) << n | ones]
         for p in bits(free):
             both = 1 << p | 1 << (top - p)
             row += [key | both for key in row]
         keys += row
-    keys.sort()
-    return map(universe.full_mask.__and__, keys)
+    return keys
 
 
 def _next_closure(c: Closure) -> Iterator[int]:

@@ -46,10 +46,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-#: the set positions of each byte value, ascending
-_BYTE_BITS = tuple(tuple(bits(b)) for b in range(256))
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask
@@ -112,11 +108,12 @@ class Universe:
         self.index = index
         self.size = len(labels)
         self.full_mask = (1 << self.size) - 1
-        #: per-chunk text tables of ``text``, made on its first call; not
-        #: part of the value, so ``__reduce__`` leaves them out of pickles
-        #: and copies, and each entry is written with one fixed text, so
-        #: threads may share a universe
-        self._text: list[dict[int, str]] | None = None
+        #: the chunk text tables of ``text`` and ``lines`` (see
+        #: ``_text_tables``), made on the first call; not part of the value,
+        #: so ``__reduce__`` leaves them out of pickles and copies, and each
+        #: entry is written with one fixed text, so threads may share a
+        #: universe
+        self._text: list[_TextTable] | None = None
         #: the lane layout of ``row_lines``, made on its first call, on the
         #: same terms as ``_text``
         self._lanes: tuple | None = None
@@ -141,34 +138,51 @@ class Universe:
         """The members of ``mask`` as their labels in position order, one
         space apart; "" for the empty set.
 
-        Each chunk of 8 positions has a table from byte values to text. An
-        entry is filled the first time its byte is rendered, so a universe
-        that prints a few sets pays for a few entries only.
+        A set is cut into chunks of positions, and each chunk's text is
+        one lookup in its table (see ``_text_tables``). Up to 24 positions
+        there are two chunks, the lower and the upper half, so a set costs
+        two lookups and one concatenation; above that, a set is read byte
+        by byte.
         """
-        tables = self._text
-        if tables is None:
-            tables = self._text = [{} for _ in range((self.size + 7) // 8)]
-        parts = []
-        c = 0
-        while mask:
-            byte = mask & 255
-            if byte:
-                table = tables[c]
-                part = table.get(byte)
-                if part is None:
-                    base = 8 * c
-                    labels = self.labels
-                    part = table[byte] = " ".join([labels[base + p] for p in _BYTE_BITS[byte]])
-                parts.append(part)
-            mask >>= 8
-            c += 1
-        return " ".join(parts)
+        tables = self._text or self._text_tables()
+        if len(tables) == 2:
+            lo, hi = tables
+            cut = hi.base
+            return (lo[mask & (1 << cut) - 1] + hi[mask >> cut])[1:]
+        return "".join(map(_entry, tables, mask.to_bytes(len(tables), "little")))[1:]
 
     def lines(self, masks: Iterable[int]) -> str:
         """The sets of ``masks``, one line each, as ``parse_set`` reads
-        them back: "-" for the empty set."""
-        text = self.text
-        return "\n".join([text(m) or "-" for m in masks])
+        them back: "-" for the empty set.
+
+        The table lookups of ``text`` are written out in the comprehension,
+        so a set costs no call of its own.
+        """
+        tables = self._text or self._text_tables()
+        if len(tables) == 2:
+            lo, hi = tables
+            cut = hi.base
+            low = (1 << cut) - 1
+            return "\n".join([(lo[m & low] + hi[m >> cut])[1:] or "-" for m in masks])
+        nbytes = len(tables)
+        return "\n".join([
+            "".join(map(_entry, tables, m.to_bytes(nbytes, "little")))[1:] or "-"
+            for m in masks
+        ])
+
+    def _text_tables(self) -> list[_TextTable]:
+        """The chunk tables of ``text`` and ``lines``, made once. The chunk
+        width follows from the universe size n: up to 24 positions, two
+        tables, over the lower ceil(n/2) positions and the rest, with at
+        most 4,096 entries each (the upper one of a one-position universe
+        holds the empty chunk only); above that, one table per 8 positions,
+        with at most 256 entries each. ``int.to_bytes`` cuts a set into
+        bytes in one step and ``map`` reads their tables, so a wide set
+        costs no Python loop over its chunks."""
+        n = self.size
+        width = (n + 1) // 2 if n <= 24 else 8
+        tables = self._text = [_TextTable(self.labels, b) for b in range(0, max(n, 2), width)]
+        return tables
 
     def row_lines(self, rows: Iterable[tuple[int, int, int, tuple[int, ...]]]) -> str:
         """The 012n rows ``(ones, zeros, free, bubbles)``, one line each:
@@ -288,6 +302,31 @@ def _bubble_name(i: int) -> str:
         i, r = divmod(i - 1, 26)
         name = chr(ord("a") + r) + name
     return name
+
+
+class _TextTable(dict):
+    """The text of each value of one chunk of positions, starting at
+    ``base``: the labels of its members, each after one space, so the
+    chunks of a set concatenate to its text with one space in front. An
+    entry is made the first time its value is read, from the entry
+    without its top member, so a universe that prints a few sets pays for
+    a few entries only."""
+
+    __slots__ = ("labels", "base")
+
+    def __init__(self, labels: tuple[str, ...], base: int):
+        super().__init__({0: ""})
+        self.labels = labels
+        self.base = base
+
+    def __missing__(self, chunk: int) -> str:
+        top = chunk.bit_length() - 1
+        text = self[chunk] = self[chunk ^ 1 << top] + " " + self.labels[self.base + top]
+        return text
+
+
+#: a table entry, read with ``__missing__``; ``map`` calls it once per chunk
+_entry = dict.__getitem__
 
 
 def _row_lanes(n: int) -> tuple:

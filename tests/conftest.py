@@ -566,6 +566,25 @@ def reference_expand(rows: Iterable[Row]) -> list[Row]:
     return out
 
 
+def reference_lectic_keys(n: int, flat: Iterable[Row]) -> list[int]:
+    """The lectic sort keys of the members of bubble-free rows, row by row,
+    built bit by bit: each member m with its bits reversed in the high
+    half (position p at bit 2n-1-p) and m itself in the low half."""
+    top = 2 * n - 1
+    keys: list[int] = []
+    for ones, _, free, _ in flat:
+        row = [ones]
+        for p in range(n):
+            if ones >> p & 1:
+                row[0] |= 1 << (top - p)
+        for p in range(n):
+            if free >> p & 1:
+                both = 1 << p | 1 << (top - p)
+                row += [key | both for key in row]
+        keys += row
+    return keys
+
+
 # -- consensus on clause objects, before its mask-pair loop --------------------
 
 

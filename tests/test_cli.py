@@ -18,9 +18,11 @@ from hornkit import (
     load_implications,
 )
 from hornkit.cli import build_parser, main
+from hornkit.core import bits
 
 from conftest import (
-    EQ38, U6, brute_closed_masks, brute_meet_irreducibles, padded_mf_text, rng_for,
+    EQ38, U6, brute_closed_masks, brute_meet_irreducibles, padded_mf_text,
+    reference_lectic_keys, rng_for,
 )
 
 EQ15_TEXT = """elements: 1 2 3 4 5 6 7 8 9
@@ -490,6 +492,44 @@ class TestLecticBlocks:
                            "--lectic")
         want = self.per_set(enumerate_horn_lectic(HornSystem(sigma, gamma_sets)))
         assert code == 0 and out == want and len(out.splitlines()) > 10 * 1024
+
+    def test_seeded_theories_match_the_lectic_masks(self, capsys, tmp_path):
+        # 200 theories over 10-22 elements with labels of 1-3 letters, some
+        # with a number: each listing, with and without --gamma, is the label
+        # join of lectic_masks, and its sort keys are the bit-by-bit ones
+        long = 0
+        for case in range(200):
+            rng = rng_for(52000 + case)
+            n = 10 + case % 13
+            labels = [chr(97 + i % 26) * (1 + i % 3) + (str(i) if i % 2 else "")
+                      for i in range(n)]
+            rules = []
+            for _ in range(rng.randint(2 * n, 5 * n)):
+                prem = rng.sample(labels, rng.choice((1, 2, 2, 3, 3)))
+                conc = rng.choice([lab for lab in labels if lab not in prem])
+                rules.append(" ".join(prem) + " -> " + conc)
+            header = "elements: " + " ".join(labels) + "\n"
+            theory = tmp_path / f"t{case}.imp"
+            theory.write_text(header + "\n".join(rules) + "\n", encoding="utf-8")
+            gamma = tmp_path / f"t{case}.fam"
+            gamma.write_text(header + "".join(
+                " ".join(rng.sample(labels, rng.randint(2, 4))) + "\n"
+                for _ in range(rng.randint(1, 4))
+            ), encoding="utf-8")
+            _, sigma = load_implications(theory.read_text(encoding="utf-8"))
+            _, gamma_sets = load_family(gamma.read_text(encoding="utf-8"))
+            for extra, complications in (((), ()), (("--gamma", str(gamma)), gamma_sets.masks())):
+                code, out, err = run(capsys, "enumerate", "--sigma", str(theory), *extra,
+                                     "--lectic")
+                masks = list(hornkit.closure.lectic_masks(sigma, complications))
+                want = "".join(
+                    (" ".join(labels[p] for p in bits(m)) or "-") + "\n" for m in masks
+                )
+                assert code == 0 and err == "" and out == want
+                flat = hornkit.closure.flat_rows(sigma, complications)
+                assert hornkit.closure._lectic_keys(n, flat) == reference_lectic_keys(n, flat)
+                long += len(masks) > 1024
+        assert long >= 30
 
 
 class TestErrors:

@@ -379,7 +379,14 @@ class TestMaskText:
         # labels of several lengths
         return tuple("x" * (i % 4) + str(i) for i in range(n))
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 200])
+    def want(self, labels, masks) -> str:
+        return "\n".join(" ".join(labels[p] for p in bits(m)) or "-" for m in masks)
+
+    # every size where the chunk width or the number of tables changes: two
+    # half tables up to 24 positions, then one table per byte
+    SIZES = [1, 2, 3, 7, 8, 9, 12, 13, 16, 17, 19, 23, 24, 25, 31, 32, 33, 64, 200]
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_matches_the_label_join(self, n):
         labels = self.labels(n)
         u = Universe(labels)
@@ -394,11 +401,64 @@ class TestMaskText:
                 assert u.text(m) == want
                 assert u.from_mask(m).render() == want
                 assert set_text(u.from_mask(m)) == (want or "-")
-        assert u.lines(masks) == "\n".join(" ".join(labels[p] for p in bits(m)) or "-"
-                                           for m in masks)
+        assert u.lines(masks) == self.want(labels, masks)
         family = SetFamily(u, tuple(u.from_mask(m) for m in masks))
         assert family.render() == u.lines(masks)
         assert parse_family(family.render(), u) == family
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lines_reads_any_iterable_on_fresh_and_filled_tables(self, n):
+        labels = self.labels(n)
+        rng = rng_for(2900 + n)
+        masks = [0, (1 << n) - 1, *(1 << p for p in range(n))]
+        masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(200)]
+        high = 1 << n - n // 2  # the masks around the first one in the top half
+        span = range(max(0, high - 40), min(high + 40, 1 << n))
+        filled = Universe(labels)
+        filled.lines(range(min(1 << n, 1 << 12)))
+        for u in (Universe(labels), filled):
+            for given in (
+                lambda: list(masks), lambda: tuple(masks), lambda: (m for m in masks),
+                lambda: span, lambda: iter(span), lambda: [], lambda: (),
+            ):
+                got = u.lines(given())
+                assert got == self.want(labels, given())
+                assert u.lines(given()) == got  # the same text once filled
+
+    def test_tables_stay_within_their_bounds(self):
+        # no table outgrows its chunk: at most 4,096 entries for the two half
+        # tables of up to 24 positions, 256 for a byte table
+        rng = rng_for(3000)
+        for n, masks in (
+            (18, range(1 << 18)),
+            (24, [(1 << 24) - 1, 1 << 23 | 1, *range(5000)]),
+            (25, [rng.getrandbits(25) for _ in range(5000)]),
+            (200, [rand_mask(rng, 200) for _ in range(20000)]),
+            (1000, [rng.getrandbits(1000) for _ in range(20000)]),
+        ):
+            labels = self.labels(n)
+            u, twin = Universe(labels), Universe(labels)
+            before = (hash(u), repr(u), pickle.dumps(u))
+            listing = u.lines(masks)
+            assert listing.count("\n") == len(masks) - 1
+            assert u.lines(masks[:50]) == self.want(labels, masks[:50])
+            tables = u._text
+            if n <= 24:
+                assert len(tables) == 2
+                assert [t.base for t in tables] == [0, (n + 1) // 2]
+                bound = 1 << (n + 1) // 2
+                assert bound <= 4096
+            else:
+                assert len(tables) == (n + 7) // 8
+                assert [t.base for t in tables] == list(range(0, n, 8))
+                bound = 256
+            assert all(len(t) <= bound for t in tables)
+            if n == 18:  # every subset: every entry of both tables
+                assert [len(t) for t in tables] == [512, 512]
+            assert u == twin and hash(u) == before[0] and repr(u) == before[1]
+            assert pickle.dumps(u) == before[2]
+            back = pickle.loads(before[2])
+            assert back == u and back._text is None
 
     def test_empty_listing_and_empty_set(self):
         u = uni(3)
