@@ -14,9 +14,10 @@ line, or several joined by newlines) and writes nothing itself; ``main``
 prints each non-empty block once, as it comes, so an empty result prints
 nothing and a long listing streams. A lectic listing stays a stream of
 masks until it is printed, ``_LISTING_BLOCK`` lines per block, and 012n
-rows stay plain mask tuples. Sets are written by ``Universe.text`` and
-``Universe.lines``, which writes the empty set as ``-``, the glyph that
-family files use, and rows by ``Universe.row_lines``.
+rows stay plain mask tuples, printed ``_LISTING_BLOCK`` rows per block
+(each block expanded on its own with ``--expand``). Sets are written by
+``Universe.text`` and ``Universe.lines``, which writes the empty set as
+``-``, the glyph that family files use, and rows by ``Universe.row_lines``.
 
 ``main`` may be called any number of times in one process: the argparse
 tree is built once, by the first call, and keeps nothing from one call to
@@ -46,8 +47,8 @@ from .core import ImplicationSet, SetFamily, Universe, set_text
 from .errors import HornkitError, UniverseMismatchError
 
 
-#: lines per block of a lectic listing: one ``print`` each, so the listing
-#: still streams
+#: lines per block of a lectic listing, and source rows per block of a 012n
+#: listing: one ``print`` each, so the listing still streams
 _LISTING_BLOCK = 1024
 
 
@@ -229,9 +230,12 @@ def _cmd_enumerate(args, universe, source) -> Iterator[str]:
         models = closure.lectic_masks(h.sigma, h.gamma.masks())
         yield SetFamily.from_masks(universe, models).render()
         return
-    # the rows are printed from their plain tuples; row_lines checks each
+    # the rows stay plain tuples, printed (and checked) by row_lines in
+    # blocks of _LISTING_BLOCK rows, each expanded on its own with --expand
     found = closure.model_rows(h.sigma, h.gamma.masks())
-    yield universe.row_lines(closure.expand_rows(found) if args.expand else found)
+    for i in range(0, len(found), _LISTING_BLOCK):
+        part = found[i : i + _LISTING_BLOCK]
+        yield universe.row_lines(closure.expand_rows(part) if args.expand else part)
 
 
 def _cmd_count(args, universe, source) -> Iterator[str]:

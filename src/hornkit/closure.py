@@ -368,8 +368,8 @@ def quasiclosure(source: ClosureSource, s: AttrSet) -> AttrSet:
 # A row in flight: (ones, zeros, free, bubbles), the fields of a Row012n
 # without its universe. The splitters below work on these plain tuples and
 # append their output rows to a list. Row012n, with its partition check, is
-# built once per row that goes back to a library caller; a printed row is
-# checked by ``Universe.row_lines`` instead.
+# built once per row that goes back to a library caller; printed rows are
+# checked by ``Universe.row_lines`` instead, a block of rows at a time.
 Row = tuple[int, int, int, tuple[int, ...]]
 
 

@@ -26,9 +26,11 @@ CLI refuses a second input file over another universe in its own words.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvariantError, ParseError, UniverseMismatchError
+from .errors import HornkitError, InvariantError, ParseError, UniverseMismatchError
 
 _HEADER = "elements:"
 
@@ -84,7 +86,7 @@ def extreme_masks(masks: Iterable[int], maximal: bool = False) -> list[int]:
 class Universe:
     """Ordered set of attribute labels; positions are stable 0..size-1."""
 
-    __slots__ = ("labels", "index", "size", "full_mask", "_text", "_lanes")
+    __slots__ = ("labels", "index", "size", "full_mask", "_text")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -114,9 +116,6 @@ class Universe:
         #: entry is written with one fixed text, so threads may share a
         #: universe
         self._text: list[_TextTable] | None = None
-        #: the lane layout of ``row_lines``, made on its first call, on the
-        #: same terms as ``_text``
-        self._lanes: tuple | None = None
 
     def __reduce__(self):
         return (type(self), (self.labels,))
@@ -190,52 +189,71 @@ class Universe:
         the name of its bubble, one space apart. Bubble i is named in
         bijective base 26: a to z, then aa, ab, and so on.
 
-        Each mask is spread to one lane per position, by reading its bit
-        string as big-endian characters of one byte (four bytes past 507
-        positions). Lane p of a row ends up holding 1 for a forced
-        present, 2 for a free position and 3 + i in bubble i, and one
-        ``str.translate`` writes the symbols: a row costs a few big-int
-        steps per mask, not a step per position.
+        Rows are rendered a block at a time (see ``_row_layout``). Each
+        mask kind of a block (ones, zeros, free, and bubble slot j, 0 where
+        a row has no j-th bubble) is written as one string of bit strings,
+        read as one integer with a lane of 16 bits per position (32 past
+        319 positions). Lane sums do the rest: relative to the "0" lanes,
+        ones + 2 free + (49 + j) bubble j is the symbol in the low half of
+        each lane, a constant puts " " or, at a row's last position, "\n"
+        in the high half, and the block's text is the integer's bytes,
+        decoded once. Names past z are written by one ``str.translate``
+        per block.
 
-        Every printed row passes ``check_row``.
+        Each block is checked as ``rows.Row012n`` checks one row: every
+        mask is nonnegative and inside the universe (no "-" in a bit
+        string, and each is n long), every bubble has two positions or
+        more, and the lane sum of all kinds is 1 at every position, so
+        the masks of each row partition the universe. Else InvariantError.
         """
-        lanes = self._lanes
-        if lanes is None:
-            lanes = self._lanes = _row_lanes(self.size)
-        fmt, enc, dec, nbytes, zero, table = lanes
-        spread = int.from_bytes
-        lines = []
-        for row in rows:
-            self.check_row(row)
-            ones, _, free, bubbles = row
-            # each spread also puts the character "0" in every lane; those
-            # characters, weight of them per lane, come off at the end
-            code = spread(format(ones, fmt).encode(enc), "big") + 2 * spread(
-                format(free, fmt).encode(enc), "big"
-            )
-            weight = 3
-            for c, b in enumerate(bubbles, 3):
-                code += c * spread(format(b, fmt).encode(enc), "big")
-                weight += c
-            text = (code - weight * zero).to_bytes(nbytes, "little").decode(dec, "surrogatepass")
-            lines.append(text.translate(table)[:-1])
-        return "\n".join(lines)
-
-    def check_row(self, row: tuple[int, int, int, tuple[int, ...]]) -> None:
-        """InvariantError unless the masks of the 012n row ``(ones, zeros,
-        free, bubbles)`` partition the universe (they cover it, and their sizes
-        add up to its size only when no two overlap) and no bubble is a singleton."""
-        ones, zeros, free, bubbles = row
-        acc = ones | zeros | free
-        size = ones.bit_count() + zeros.bit_count() + free.bit_count()
-        for b in bubbles:
-            k = b.bit_count()
-            if k < 2:
+        n = self.size
+        most, fmt, enc, dec, width, unit_full, sep_full = _row_layout(n)
+        pad = "0" * n
+        rows = iter(rows)
+        texts = []
+        while block := list(islice(rows, most)):
+            r = len(block)
+            # the constants of a short block are the low lanes of a full one
+            cut = 8 * width * n * (most - r)
+            unit, sep = unit_full >> cut, sep_full >> cut
+            block.reverse()  # the first row goes to the lowest lanes
+            bubbles = [row[3] for row in block]
+            slots = max(map(len, bubbles))
+            if min(map(int.bit_count, chain.from_iterable(bubbles)), default=2) < 2:
                 raise InvariantError("a bubble needs at least two positions")
-            acc |= b
-            size += k
-        if acc != self.full_mask or size != self.size:
-            raise InvariantError("row masks do not partition the universe")
+            # n // 2 disjoint bubbles at most; refusing more also keeps every
+            # lane sum below the lane's size, so the sum test below is exact
+            if slots > n // 2:
+                raise InvariantError("row masks do not partition the universe")
+            if 96 + slots > 0xFFFF:
+                raise HornkitError("a row of over 65,439 bubbles cannot be printed")
+            coefs = (1, 0, 2, *range(49, 49 + slots))
+            kinds = chain(
+                ("".join([format(row[k], fmt) for row in block]) for k in (0, 1, 2)),
+                ("".join([format(b[j], fmt) if len(b) > j else pad for b in bubbles])
+                 for j in range(slots)),
+            )
+            total = code = 0
+            for c, text in zip(coefs, kinds):
+                if "-" in text:
+                    raise InvariantError("a row mask is negative")
+                if len(text) != r * n:
+                    raise InvariantError("row masks do not partition the universe")
+                spread = int.from_bytes(text.encode(enc), "big")
+                total += spread
+                code += c * spread
+            # each kind put the character "0" (48) in every lane; the code
+            # keeps one of them: "0" + 1 is "1", "0" + 49 + j is "a" + j
+            if total != (48 * len(coefs) + 1) * unit:
+                raise InvariantError("row masks do not partition the universe")
+            code += sep - 48 * (sum(coefs) - 1) * unit
+            text = code.to_bytes(width * r * n, "little").decode(dec, "surrogatepass")
+            if slots > 26:
+                text = text.translate({97 + j: _bubble_name(j) for j in range(26, slots)})
+            texts.append(text)
+        if texts:
+            texts[-1] = texts[-1][:-1]  # the last row ends the text
+        return "".join(texts)
 
     # -- the universe contract --------------------------------------------
 
@@ -329,21 +347,39 @@ class _TextTable(dict):
 _entry = dict.__getitem__
 
 
-def _row_lanes(n: int) -> tuple:
-    """The lane layout of ``Universe.row_lines`` at n positions: the bit
-    string format, the codecs that spread a bit string to lanes and read
-    lanes back as characters, the byte length of a row, the lane integer
-    of n "0" characters, and the table from lane values to symbols. A row
-    has at most n // 2 bubbles, so its lane values stay below n // 2 + 3,
-    and one byte per lane holds them up to 507 positions."""
-    enc, dec, width = ("latin-1", "latin-1", 1) if n // 2 + 3 <= 256 else (
-        "utf-32-be", "utf-32-le", 4
+#: the most rows ``Universe.row_lines`` renders at once, and the most
+#: positions in one block of them, so that a block's lane integers stay
+#: within 256 KB however wide the universe
+_ROW_BLOCK = 1024
+_ROW_BLOCK_LANES = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _row_layout(n: int) -> tuple:
+    """The lane layout of ``Universe.row_lines`` at n positions: the rows
+    of a full block, the bit string format, the codecs that spread a bit
+    string to lanes and read lanes back as text, the bytes per lane, and
+    two constants of a full block, one 1 per lane and the separators.
+
+    A lane holds a symbol in its low half and a separator in its high
+    half. Bubble j (from 0) takes the value 97 + j: a letter up to z,
+    else a character that ``str.translate`` replaces by the name. A row
+    has at most n // 2 bubbles, so one byte per half holds the symbol up
+    to 319 positions (latin-1 then reads each byte as a character) and two
+    bytes (read as UTF-16) past that."""
+    rows = min(_ROW_BLOCK, max(1, _ROW_BLOCK_LANES // n))
+    enc, dec, width = ("utf-16-be", "latin-1", 2) if n // 2 < 160 else (
+        "utf-32-be", "utf-16-le", 4
     )
-    table = {0: "0 ", 1: "1 ", 2: "2 "}
-    for i in range(n // 2):
-        table[3 + i] = _bubble_name(i) + " "
-    zero = int.from_bytes(("0" * n).encode(enc), "big")
-    return f"0{n}b", enc, dec, width * n, zero, table
+
+    def lanes(text: str) -> int:
+        return int.from_bytes(text.encode(enc), "big")
+
+    unit = lanes("\1" * (rows * n))
+    # a row's bit string starts at its last position
+    ends = lanes(("\1" + "\0" * (n - 1)) * rows)
+    sep = (ord(" ") * unit + (ord("\n") - ord(" ")) * ends) << 4 * width
+    return rows, f"0{n}b", enc, dec, width, unit, sep
 
 
 def set_text(s: AttrSet) -> str:

@@ -32,6 +32,7 @@ from .core import (
     _Value,
     submasks,
 )
+from .errors import InvariantError
 
 
 class Row012n(_Value):
@@ -46,7 +47,18 @@ class Row012n(_Value):
     def __init__(
         self, universe: Universe, ones: int, zeros: int, free: int, bubbles: tuple[int, ...]
     ):
-        universe.check_row((ones, zeros, free, bubbles))
+        acc = ones | zeros | free
+        size = ones.bit_count() + zeros.bit_count() + free.bit_count()
+        for b in bubbles:
+            k = b.bit_count()
+            if k < 2:
+                raise InvariantError("a bubble needs at least two positions")
+            acc |= b
+            size += k
+        # the masks cover the universe, and their sizes add up to its size
+        # only when no two overlap
+        if acc != universe.full_mask or size != universe.size:
+            raise InvariantError("row masks do not partition the universe")
         _set(self, "universe", universe)
         _set(self, "ones", ones)
         _set(self, "zeros", zeros)

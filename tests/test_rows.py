@@ -1,4 +1,5 @@
 from itertools import islice
+from math import prod
 
 import pytest
 
@@ -37,6 +38,7 @@ from hornkit.closure import (
     model_rows,
     split_rows,
 )
+from hornkit.core import _row_layout
 from hornkit.rows import _system
 
 from conftest import (
@@ -136,13 +138,19 @@ class TestRow012n:
             rng = rng_for(9800 + case)
             k = case % 6
             n = rng.randint(max(1, 2 * k), 2 * k + 12)
-            u = uni(n)
-            parts = [rng.randrange(3 + k) for _ in range(n)]
-            for i, p in enumerate(rng.sample(range(n), 2 * k)):
-                parts[p] = 3 + i // 2
-            masks = [sum(1 << p for p in range(n) if parts[p] == i) for i in range(3 + k)]
-            r = Row012n(u, masks[0], masks[1], masks[2], tuple(masks[3:]))
+            r = Row012n(uni(n), *partition_row(rng, n, k))
             assert r.render() == oracle_row_text(r)
+
+
+def partition_row(rng, n, k):
+    """A random 012n row tuple over n positions with k bubbles (2k <= n):
+    each position goes to ones, zeros, free or a bubble, and each bubble
+    first takes two positions of its own."""
+    parts = [rng.randrange(3 + k) for _ in range(n)]
+    for i, p in enumerate(rng.sample(range(n), 2 * k)):
+        parts[p] = 3 + i // 2
+    masks = [sum(1 << p for p in range(n) if parts[p] == i) for i in range(3 + k)]
+    return masks[0], masks[1], masks[2], tuple(masks[3:])
 
 
 def pairs_theory(k: int) -> ImplicationSet:
@@ -191,7 +199,8 @@ class TestRowLines:
                 self.assert_matches_oracle(u, rows)
 
     def test_four_byte_lanes(self):
-        # past 507 positions a row may have more than 253 bubbles
+        # past 319 positions a lane takes four bytes: a row may have more
+        # than 159 bubbles, whose symbols outgrow one byte
         n = 601
         u = uni(n)
         bubbles = tuple(3 << (2 * i) for i in range(300))
@@ -200,19 +209,75 @@ class TestRowLines:
         assert u.row_lines(rows[:1]).split()[-3:] == ["kn", "kn", "0"]
 
     def test_rows_that_do_not_partition_are_refused(self):
-        u = uni(6)
-        bad = [
-            (1, 1, 62, ()),  # position 1 forced both ways
-            (1, 2, 56, ()),  # positions 3 and 4 in no part
-            (0, 0, 62, (1,)),  # a one-position bubble
-            (0, 0, 60, (3, 6)),  # two bubbles share position 2
-            (0, 0, 63, (3, 12)),  # bubbles inside the free positions
-            (64, 0, 63, ()),  # a position outside the universe
-        ]
-        for row in bad:
-            with pytest.raises(InvariantError):
-                u.row_lines([(0, 0, 63, ()), row])
-        assert u.row_lines([]) == ""
+        top, mid = 1 << 21, sum(1 << p for p in range(4, 20))
+        bad = {
+            6: [
+                (1, 1, 62, ()),  # position 1 forced both ways
+                (1, 2, 56, ()),  # positions 3 and 4 in no part
+                (0, 0, 62, (1,)),  # a one-position bubble
+                (0, 0, 60, (3, 6)),  # two bubbles share position 2
+                (0, 0, 63, (3, 12)),  # bubbles inside the free positions
+                (64, 0, 63, ()),  # a position outside the universe
+                (-1, 0, 63, ()),  # a negative mask
+                (0, 0, 63, (-4,)),  # a negative bubble
+            ],
+            # format(-5, "022b") is "-" and 21 bits, 22 characters like any
+            # mask, and its "-" lane (3 below "0") cancels against the four
+            # other kinds that hold position 22: the lane sums alone pass it
+            22: [(-5, top | 1 << 1, top | mid, (top | 1 << 20, top | 1 << 3))],
+            # 2^16 bubbles on positions 1-3 and a one on position 1: lanes
+            # of 2^16 + 1, 2^16, 2^16 and 0 carry over to the lane sums of a
+            # partition, so only the count of bubbles refuses it
+            4: [(1, 0, 0, (7,) * (1 << 16))],
+        }
+        for n in (53, 54, 601):
+            # members above the universe, in each kind of mask
+            full = (1 << n) - 1
+            bad[n] = [
+                (1 << n, 0, full, ()),
+                (0, 1 << n | 1, full ^ 1, ()),
+                (0, 0, full | 1 << (n + 7), ()),
+                (0, 0, full ^ 3, (3 | 1 << n,)),
+            ]
+        for n, rows in bad.items():
+            u = uni(n)
+            good = (0, 0, u.full_mask, ())
+            block = _row_layout(n)[0]
+            for row in rows:
+                with pytest.raises(InvariantError):
+                    Row012n(u, *row)
+                # in the first block, and as the first row of the second one
+                for listing in ([good, row], [good] * block + [row, good]):
+                    with pytest.raises(InvariantError):
+                        u.row_lines(listing)
+                    with pytest.raises(InvariantError):
+                        u.row_lines(iter(listing))
+        assert uni(6).row_lines([]) == ""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 22, 52, 53, 54, 64, 601])
+    def test_listings_of_every_length_match_the_oracle(self, n):
+        # lengths around the block size, lists and generators, rows of
+        # 0-5 bubbles (about four with the most a row can hold, which names
+        # bubbles past z from n = 54 on) and their expansions
+        rng = rng_for(51000 + n)
+        u = uni(n)
+        block = _row_layout(n)[0]
+        most = 3 * block + 500 if n <= 22 else 2 * block + 1
+        rows = []
+        for _ in range(most):
+            k = n // 2 if rng.random() < 4 / most else rng.randint(0, min(5, n // 2))
+            rows.append(partition_row(rng, n, k))
+        want = [oracle_row_text(Row012n(u, *r)) for r in rows]
+        for length in sorted({0, 1, block - 1, block, block + 1, 2 * block + 1, most}):
+            text = "\n".join(want[:length])
+            assert u.row_lines(rows[:length]) == text
+            if length > block:
+                assert u.row_lines(r for r in rows[:length]) == text
+        # a k-position bubble expands to k rows
+        flat = expand_rows(r for r in rows[: block + 1] if prod(map(int.bit_count, r[3])) <= 64)
+        assert u.row_lines(iter(flat)) == "\n".join(
+            oracle_row_text(Row012n(u, *r)) for r in flat
+        )
 
 
 def sparse_sigma(rng, u):
