@@ -12,12 +12,16 @@ reads a further file itself (``--sigma2``).
 Output has one writer. Each handler is a generator of text blocks (one
 line, or several joined by newlines) and writes nothing itself; ``main``
 prints each non-empty block once, as it comes, so an empty result prints
-nothing and a long listing streams. A lectic listing stays a stream of
-masks until it is printed, ``_LISTING_BLOCK`` lines per block, and 012n
-rows stay plain mask tuples, printed ``_LISTING_BLOCK`` rows per block
-(each block expanded on its own with ``--expand``). Sets are written by
-``Universe.text`` and ``Universe.lines``, which writes the empty set as
-``-``, the glyph that family files use, and rows by ``Universe.row_lines``.
+nothing and a long listing streams. A lectic listing of ``--sigma`` stays
+in the groups of ``closure.lectic_groups`` (the sets that share their
+lower half of the positions) until ``Universe.lectic_lines`` writes each
+group straight to text, in blocks of about ``_LISTING_BLOCK`` lines; one
+of ``--family`` is a stream of masks, printed by ``Universe.lines``
+``_LISTING_BLOCK`` lines per block. 012n rows stay plain mask tuples,
+printed ``_LISTING_BLOCK`` rows per block (each block expanded on its own
+with ``--expand``). Sets are written by ``Universe.text`` and the
+``lines`` writers, which write the empty set as ``-``, the glyph that
+family files use, and rows by ``Universe.row_lines``.
 
 ``main`` may be called any number of times in one process: the argparse
 tree is built once, by the first call, and keeps nothing from one call to
@@ -47,8 +51,9 @@ from .core import ImplicationSet, SetFamily, Universe, set_text
 from .errors import HornkitError, UniverseMismatchError
 
 
-#: lines per block of a lectic listing, and source rows per block of a 012n
-#: listing: one ``print`` each, so the listing still streams
+#: lines per block of a lectic listing (about that many on ``--sigma``), and
+#: source rows per block of a 012n listing: one ``print`` each, so the
+#: listing still streams
 _LISTING_BLOCK = 1024
 
 
@@ -217,11 +222,12 @@ def _cmd_keys(args, universe, source) -> Iterator[str]:
 
 def _cmd_enumerate(args, universe, source) -> Iterator[str]:
     if args.lectic:
-        if args.gamma:
+        if args.gamma or isinstance(source, ImplicationSet):
             h = _horn_system(args, universe, source)
-            masks = closure.lectic_masks(h.sigma, h.gamma.masks())
-        else:
-            masks = closure.lectic_masks(source)
+            groups = closure.lectic_groups(h.sigma, h.gamma.masks())
+            yield from universe.lectic_lines(groups, _LISTING_BLOCK)
+            return
+        masks = closure.lectic_masks(source)
         while block := list(islice(masks, _LISTING_BLOCK)):
             yield universe.lines(block)
         return

@@ -13,7 +13,9 @@ reads max(F,e) off the same rows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
@@ -23,7 +25,10 @@ from .core import (
     Implication,
     SetFamily,
     Universe,
+    _Cache,
     _Value,
+    _lectic_cut,
+    _reversed,
     bits,
     submasks,
 )
@@ -583,18 +588,86 @@ def flat_rows(sigma: ImplicationSet, complications: Iterable[int] = ()) -> list[
     return expand_rows(split_rows(sigma, complications))
 
 
+def lectic_groups(
+    sigma: ImplicationSet, complications: Iterable[int] = ()
+) -> Iterator[tuple[int, list[int]]]:
+    """The closed sets of sigma that cover no complication mask, in lectic
+    order, grouped by their lower chunk: pairs (h, uppers), in ascending
+    h, of a reversed lower chunk and the ascending list of the reversed
+    upper chunks of its sets (see ``core._lectic_cut``).
+
+    A bubble-free row of ``flat_rows`` is the product of the list H of
+    its lower chunks and the list L of its upper chunks. Each is its
+    reversed forced ones OR'ed onto the submask list of its reversed free
+    positions, and the submask lists are made once per listing for each
+    free chunk. L is built ascending and appended with one ``list +=`` to
+    the bucket of every h in H, and each bucket is sorted by ``list.sort``
+    when its turn comes. So a set costs no Python bytecode of its own,
+    and memory is one list slot per set beside the rows. The buckets are built when this
+    is called; the groups come as they are sorted.
+    """
+    n = sigma.universe.size
+    cut = _lectic_cut(n)
+    width = n - cut
+    low, upper = (1 << cut) - 1, (1 << width) - 1
+    fmt = f"0{n}b"
+    lowers = _Cache(partial(_reversed_submasks, cut))
+    uppers = _Cache(partial(_reversed_submasks, width))
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for ones, _, free, _ in flat_rows(sigma, complications):
+        # reversed over all n positions: the lower chunk lands above the upper
+        ones = int(format(ones, fmt)[::-1], 2)
+        ls = uppers[free >> cut]
+        if ones & upper:
+            ls = list(map((ones & upper).__or__, ls))
+        for h in map((ones >> width).__or__, lowers[free & low]):
+            buckets[h] += ls
+    return _sorted_groups(buckets)
+
+
+def _reversed_submasks(width: int, chunk: int) -> list[int]:
+    """The submasks of the reversed chunk of width positions, ascending:
+    each of its bits, from the lowest up, doubles the list with itself
+    plus that bit."""
+    out = [0]
+    for p in bits(_reversed(chunk, width)):
+        bit = 1 << p
+        out += [x | bit for x in out]
+    return out
+
+
+def _sorted_groups(buckets: dict[int, list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """The buckets in ascending h, each sorted when its turn comes and
+    dropped from buckets, so that a written group's memory is freed."""
+    for h in sorted(buckets):
+        group = buckets.pop(h)
+        group.sort()
+        yield h, group
+
+
 def lectic_masks(source: ClosureSource, complications: Iterable[int] = ()) -> Iterator[int]:
     """The masks of the closed sets that cover no complication mask, each
     once, in lectic order.
 
     Lectic order is taken on positions with the smallest position most
     significant (the usual NextClosure convention). An implication family
-    is read off its 012 rows; a family or a bare operator, which has no
-    rows, goes through NextClosure and takes no complications.
+    is read off the groups of ``lectic_groups``: each group's masks are
+    its lower chunk OR'ed onto its upper chunks, through two C-level
+    ``map`` calls and a per-listing cache of unreversed upper chunks. A
+    family or a bare operator, which has no rows, goes through NextClosure
+    and takes no complications.
     """
     universe = source_universe(source)
     if isinstance(source, ImplicationSet):
-        return _lectic_from_rows(universe, flat_rows(source, complications))
+        n = universe.size
+        cut = _lectic_cut(n)
+        width = n - cut
+        upper = _Cache(lambda chunk: _reversed(chunk, width) << cut)
+        get = upper.__getitem__
+        return chain.from_iterable(
+            map(_reversed(h, cut).__or__, map(get, group))
+            for h, group in lectic_groups(source, complications)
+        )
     if complications:
         raise TypeError("complications need an implication family")
     return _next_closure(Closure.wrap(source))
@@ -604,37 +677,6 @@ def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:
     """Yield every closed set exactly once, in lectic order (see
     ``lectic_masks``)."""
     return map(partial(AttrSet, source_universe(source)), lectic_masks(source))
-
-
-def _lectic_from_rows(universe: Universe, flat: Iterable[Row]) -> Iterator[int]:
-    """The members of disjoint bubble-free rows, in lectic order: the
-    sorted ``_lectic_keys``, each cut back to its low half."""
-    keys = _lectic_keys(universe.size, flat)
-    keys.sort()
-    return map(universe.full_mask.__and__, keys)
-
-
-def _lectic_keys(n: int, flat: Iterable[Row]) -> list[int]:
-    """The sort keys of the members of disjoint bubble-free rows over n
-    positions, row by row.
-
-    A member m is sorted as one plain integer: m with its bits reversed in
-    the high half, where the smallest position is the most significant,
-    and m itself in the low half. So the sorted integers are in lectic
-    order, and the low half gives each set back without a second reversal.
-    A row's forced ones are reversed in one step, through their bit
-    string; each free position then doubles the row's keys.
-    """
-    fmt = f"0{n}b"
-    top = 2 * n - 1
-    keys: list[int] = []
-    for ones, _, free, _ in flat:
-        row = [int(format(ones, fmt)[::-1], 2) << n | ones]
-        for p in bits(free):
-            both = 1 << p | 1 << (top - p)
-            row += [key | both for key in row]
-        keys += row
-    return keys
 
 
 def _next_closure(c: Closure) -> Iterator[int]:

@@ -27,7 +27,7 @@ CLI refuses a second input file over another universe in its own words.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import HornkitError, InvariantError, ParseError, UniverseMismatchError
@@ -169,6 +169,41 @@ class Universe:
             for m in masks
         ])
 
+    def lectic_lines(self, groups: Iterable[tuple[int, list[int]]], block: int) -> Iterator[str]:
+        """The sets of ``closure.lectic_groups`` groups, one line each as
+        ``lines`` writes them, in text blocks of about ``block`` lines; a
+        group longer than a block is written in slices of ``block`` sets.
+
+        A group is the reversed lower chunk h of its sets and the ascending
+        list of their reversed upper chunks (see ``_lectic_cut``). It is
+        written as one prefix, the text of h, and one ``str.join`` over a
+        ``map`` of a per-listing cache of upper-chunk texts, each made by
+        ``text`` on first read; so a set costs no Python bytecode of its
+        own. The group of h = 0 reads a second cache, whose entries have
+        no space in front and whose empty chunk, the empty set, is "-".
+        """
+        text = self.text
+        cut = _lectic_cut(self.size)
+        width = self.size - cut
+        upper = _Cache(lambda chunk: " " + text(_reversed(chunk, width) << cut))
+        upper[0] = ""
+        bare = _Cache(lambda chunk: text(_reversed(chunk, width) << cut) or "-")
+        parts: list[str] = []
+        count = 0
+        for h, group in groups:
+            head = text(_reversed(h, cut))
+            get = (upper if h else bare).__getitem__
+            for i in range(0, len(group), block):
+                part = group[i : i + block]
+                parts.append(head + ("\n" + head).join(map(get, part)))
+                count += len(part)
+                if count >= block:
+                    yield "\n".join(parts)
+                    parts = []
+                    count = 0
+        if parts:
+            yield "\n".join(parts)
+
     def _text_tables(self) -> list[_TextTable]:
         """The chunk tables of ``text`` and ``lines``, made once. The chunk
         width follows from the universe size n: up to 24 positions, two
@@ -198,59 +233,27 @@ class Universe:
         each lane, a constant puts " " or, at a row's last position, "\n"
         in the high half, and the block's text is the integer's bytes,
         decoded once. Names past z are written by one ``str.translate``
-        per block.
+        per block. A block that holds a row of more than ``_ROW_SLOTS`` (8)
+        bubbles is first cut into runs (``_slot_run``), each written as a
+        block of its own, so that such a row spreads its bubble slots over
+        its own run and not over the whole block.
 
-        Each block is checked as ``rows.Row012n`` checks one row: every
-        mask is nonnegative and inside the universe (no "-" in a bit
+        Each block or run is checked as ``rows.Row012n`` checks one row:
+        every mask is nonnegative and inside the universe (no "-" in a bit
         string, and each is n long), every bubble has two positions or
         more, and the lane sum of all kinds is 1 at every position, so
         the masks of each row partition the universe. Else InvariantError.
         """
         n = self.size
-        most, fmt, enc, dec, width, unit_full, sep_full = _row_layout(n)
-        pad = "0" * n
+        layout = _row_layout(n)
         rows = iter(rows)
         texts = []
-        while block := list(islice(rows, most)):
-            r = len(block)
-            # the constants of a short block are the low lanes of a full one
-            cut = 8 * width * n * (most - r)
-            unit, sep = unit_full >> cut, sep_full >> cut
-            block.reverse()  # the first row goes to the lowest lanes
-            bubbles = [row[3] for row in block]
-            slots = max(map(len, bubbles))
-            if min(map(int.bit_count, chain.from_iterable(bubbles)), default=2) < 2:
-                raise InvariantError("a bubble needs at least two positions")
-            # n // 2 disjoint bubbles at most; refusing more also keeps every
-            # lane sum below the lane's size, so the sum test below is exact
-            if slots > n // 2:
-                raise InvariantError("row masks do not partition the universe")
-            if 96 + slots > 0xFFFF:
-                raise HornkitError("a row of over 65,439 bubbles cannot be printed")
-            coefs = (1, 0, 2, *range(49, 49 + slots))
-            kinds = chain(
-                ("".join([format(row[k], fmt) for row in block]) for k in (0, 1, 2)),
-                ("".join([format(b[j], fmt) if len(b) > j else pad for b in bubbles])
-                 for j in range(slots)),
-            )
-            total = code = 0
-            for c, text in zip(coefs, kinds):
-                if "-" in text:
-                    raise InvariantError("a row mask is negative")
-                if len(text) != r * n:
-                    raise InvariantError("row masks do not partition the universe")
-                spread = int.from_bytes(text.encode(enc), "big")
-                total += spread
-                code += c * spread
-            # each kind put the character "0" (48) in every lane; the code
-            # keeps one of them: "0" + 1 is "1", "0" + 49 + j is "a" + j
-            if total != (48 * len(coefs) + 1) * unit:
-                raise InvariantError("row masks do not partition the universe")
-            code += sep - 48 * (sum(coefs) - 1) * unit
-            text = code.to_bytes(width * r * n, "little").decode(dec, "surrogatepass")
-            if slots > 26:
-                text = text.translate({97 + j: _bubble_name(j) for j in range(26, slots)})
-            texts.append(text)
+        while block := list(islice(rows, layout[0])):
+            if max([len(row[3]) for row in block]) <= _ROW_SLOTS:
+                texts.append(_row_text(n, layout, block))
+            else:
+                # a row of many bubbles spreads them over its own run only
+                texts += [_row_text(n, layout, list(run)) for _, run in groupby(block, _slot_run)]
         if texts:
             texts[-1] = texts[-1][:-1]  # the last row ends the text
         return "".join(texts)
@@ -347,6 +350,37 @@ class _TextTable(dict):
 _entry = dict.__getitem__
 
 
+class _Cache(dict):
+    """A dict that makes each missing entry by one call of ``make``, so
+    that ``map(cache.__getitem__, keys)`` runs no Python code on a hit."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _lectic_cut(n: int) -> int:
+    """The lectic listing's cut of n positions into a lower chunk, the
+    positions below ceil(n/2), and an upper chunk, the rest; up to 24
+    positions it is the cut of ``Universe._text_tables``. Each chunk is
+    read bit-reversed (``_reversed``), its smallest position most
+    significant, so lectic order is the order of the reversed lower
+    chunks, then of the reversed upper ones."""
+    return (n + 1) // 2
+
+
+def _reversed(chunk: int, width: int) -> int:
+    """The chunk of ``width`` bits read backwards: bit i goes to bit
+    width - 1 - i."""
+    return int(format(chunk, f"0{width}b")[::-1], 2)
+
+
 #: the most rows ``Universe.row_lines`` renders at once, and the most
 #: positions in one block of them, so that a block's lane integers stay
 #: within 256 KB however wide the universe
@@ -380,6 +414,66 @@ def _row_layout(n: int) -> tuple:
     ends = lanes(("\1" + "\0" * (n - 1)) * rows)
     sep = (ord(" ") * unit + (ord("\n") - ord(" ")) * ends) << 4 * width
     return rows, f"0{n}b", enc, dec, width, unit, sep
+
+
+#: the most bubble slots a block of ``Universe.row_lines`` spreads over all
+#: its rows; a block with a wider row is cut into runs (``_slot_run``)
+_ROW_SLOTS = 8
+
+
+def _slot_run(row: tuple[int, int, int, tuple[int, ...]]) -> int:
+    """The run key of a row in a block with a row of over ``_ROW_SLOTS``
+    bubbles: rows of up to ``_ROW_SLOTS`` bubbles share a run, and a wider
+    row starts one, shared only by the rows right after it with as many
+    bubbles."""
+    return max(_ROW_SLOTS, len(row[3]))
+
+
+def _row_text(n: int, layout: tuple, block: list) -> str:
+    """The text of a block of at most ``layout[0]`` rows of
+    ``Universe.row_lines``, each row ending with a newline, after the
+    block's check; block is reversed in place."""
+    most, fmt, enc, dec, width, unit_full, sep_full = layout
+    pad = "0" * n
+    r = len(block)
+    # the constants of a short block are the low lanes of a full one
+    cut = 8 * width * n * (most - r)
+    unit, sep = unit_full >> cut, sep_full >> cut
+    block.reverse()  # the first row goes to the lowest lanes
+    bubbles = [row[3] for row in block]
+    slots = max(map(len, bubbles))
+    if min(map(int.bit_count, chain.from_iterable(bubbles)), default=2) < 2:
+        raise InvariantError("a bubble needs at least two positions")
+    # n // 2 disjoint bubbles at most; refusing more also keeps every
+    # lane sum below the lane's size, so the sum test below is exact
+    if slots > n // 2:
+        raise InvariantError("row masks do not partition the universe")
+    if 96 + slots > 0xFFFF:
+        raise HornkitError("a row of over 65,439 bubbles cannot be printed")
+    coefs = (1, 0, 2, *range(49, 49 + slots))
+    kinds = chain(
+        ("".join([format(row[k], fmt) for row in block]) for k in (0, 1, 2)),
+        ("".join([format(b[j], fmt) if len(b) > j else pad for b in bubbles])
+         for j in range(slots)),
+    )
+    total = code = 0
+    for c, text in zip(coefs, kinds):
+        if "-" in text:
+            raise InvariantError("a row mask is negative")
+        if len(text) != r * n:
+            raise InvariantError("row masks do not partition the universe")
+        spread = int.from_bytes(text.encode(enc), "big")
+        total += spread
+        code += c * spread
+    # each kind put the character "0" (48) in every lane; the code keeps
+    # one of them: "0" + 1 is "1", "0" + 49 + j is "a" + j
+    if total != (48 * len(coefs) + 1) * unit:
+        raise InvariantError("row masks do not partition the universe")
+    code += sep - 48 * (sum(coefs) - 1) * unit
+    text = code.to_bytes(width * r * n, "little").decode(dec, "surrogatepass")
+    if slots > 26:
+        text = text.translate({97 + j: _bubble_name(j) for j in range(26, slots)})
+    return text
 
 
 def set_text(s: AttrSet) -> str:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -434,15 +435,40 @@ class TestLecticFlags:
         assert exc.value.code == 2
         assert "--lectic" in capsys.readouterr().err
 
-    def test_plain_lectic_goes_through_the_library_entry(self, files, capsys, monkeypatch):
+    def test_plain_lectic_goes_through_the_library_entry(self, files, capsys, monkeypatch,
+                                                         tmp_path):
+        # --sigma, with or without --gamma, lists through the bucket engine
+        # once and never through lectic_masks; --family lists through
+        # lectic_masks (NextClosure) once and never through the engine.
+        # Both print the 22 closed sets of EQ38, one per line, in lectic order
+        want = "".join(
+            (" ".join(str(p + 1) for p in bits(m)) or "-") + "\n"
+            for m in sorted(brute_closed_masks(6, EQ38),
+                            key=lambda m: [m >> p & 1 for p in range(6)])
+        )
         calls = []
-        orig = hornkit.closure.lectic_masks
-        monkeypatch.setattr(hornkit.closure, "lectic_masks",
-                            lambda source, *rest: calls.append(source) or orig(source, *rest))
-        for src in (["--sigma", files["eq38.imp"]], ["--family", files["mf.fam"]]):
-            code, out, _ = run(capsys, "enumerate", *src, "--lectic")
-            assert code == 0 and len(out.splitlines()) == 22
-        assert len(calls) == 2
+        for name in ("lectic_groups", "lectic_masks"):
+            orig = getattr(hornkit.closure, name)
+            monkeypatch.setattr(
+                hornkit.closure, name,
+                lambda source, *rest, name=name, orig=orig:
+                    calls.append((name, type(source).__name__)) or orig(source, *rest),
+            )
+        gamma = self.gamma(tmp_path, "1 2")
+        for src, entry in (
+            (["--sigma", files["eq38.imp"]], ("lectic_groups", "ImplicationSet")),
+            (["--sigma", files["eq38.imp"], "--gamma", gamma],
+             ("lectic_groups", "ImplicationSet")),
+            (["--family", files["mf.fam"]], ("lectic_masks", "SetFamily")),
+        ):
+            calls.clear()
+            code, out, err = run(capsys, "enumerate", *src, "--lectic")
+            assert code == 0 and err == "" and calls == [entry]
+            if "--gamma" in src:
+                assert out.splitlines() == [x for x in want.splitlines()
+                                            if not {"1", "2"} <= set(x.split())]
+            else:
+                assert out == want and len(out.splitlines()) == 22
 
 
 class TestLecticBlocks:
@@ -496,7 +522,8 @@ class TestLecticBlocks:
     def test_seeded_theories_match_the_lectic_masks(self, capsys, tmp_path):
         # 200 theories over 10-22 elements with labels of 1-3 letters, some
         # with a number: each listing, with and without --gamma, is the label
-        # join of lectic_masks, and its sort keys are the bit-by-bit ones
+        # join of lectic_masks, and lectic_masks is the sorted bit-by-bit
+        # oracle keys of the theory's flat rows, cut back to masks
         long = 0
         for case in range(200):
             rng = rng_for(52000 + case)
@@ -522,14 +549,102 @@ class TestLecticBlocks:
                 code, out, err = run(capsys, "enumerate", "--sigma", str(theory), *extra,
                                      "--lectic")
                 masks = list(hornkit.closure.lectic_masks(sigma, complications))
+                flat = hornkit.closure.flat_rows(sigma, complications)
+                full = (1 << n) - 1
+                assert masks == [k & full for k in sorted(reference_lectic_keys(n, flat))]
                 want = "".join(
                     (" ".join(labels[p] for p in bits(m)) or "-") + "\n" for m in masks
                 )
                 assert code == 0 and err == "" and out == want
-                flat = hornkit.closure.flat_rows(sigma, complications)
-                assert hornkit.closure._lectic_keys(n, flat) == reference_lectic_keys(n, flat)
                 long += len(masks) > 1024
         assert long >= 30
+
+    @staticmethod
+    def bucket_theory(rng, n: int, kind: str) -> tuple[list[str], list[str]]:
+        """Labels and rules of a theory over n elements with at most 2^12
+        closed sets. Up to 12 open elements; each other element is tied
+        both ways to an open one ("tied": the empty set stays closed) or
+        made an axiom ("axioms"). "low" and "high" put every open element
+        in one half of the positions (the lower ceil(n/2) or the rest) and
+        make the others axioms, so every row's free positions lie in that
+        half. Random rules over the open elements follow."""
+        labels = [chr(97 + i % 26) * (1 + i % 3) + (str(i) if i % 2 else "") for i in range(n)]
+        cut = (n + 1) // 2
+        pool = {"low": range(cut), "high": range(cut, n)}.get(kind, range(n)) or range(n)
+        opened = rng.sample(list(pool), min(len(pool), rng.randint(1, 12)))
+        rules = []
+        for p in range(n):
+            if p in opened:
+                continue
+            if kind == "tied":
+                q = labels[rng.choice(opened)]
+                rules += [f"{labels[p]} -> {q}", f"{q} -> {labels[p]}"]
+            else:
+                rules.append(f"-> {labels[p]}")
+        if len(opened) > 1:
+            for _ in range(rng.randint(0, len(opened))):
+                prem = rng.sample(opened, rng.randint(1, min(3, len(opened) - 1)))
+                conc = rng.choice([p for p in opened if p not in prem])
+                rules.append(" ".join(labels[p] for p in prem) + f" -> {labels[conc]}")
+        return labels, rules
+
+    def test_bucket_engine_matches_the_oracle_keys(self, capsys, tmp_path):
+        # 324 theories at n = 1, 2, 3-26 and 40, each with and without
+        # complications: lectic_masks is the sorted bit-by-bit oracle keys cut
+        # back to masks (and the brute-force closed sets up to 14 elements),
+        # the CLI prints their label join, and lectic_lines gives the same
+        # text in blocks of at least `block` and under 2 * `block` lines, a
+        # group longer than a block cut in slices
+        sizes = [1, 2, *range(3, 27), 40]
+        kinds = ("tied", "axioms", "low", "high")
+        seen = {"one half": 0, "empty closed": 0, "empty not closed": 0, "sliced": 0,
+                "sliced at 64": 0, "sliced by the CLI": 0}
+        for case in range(12 * len(sizes)):
+            rng = rng_for(61000 + case)
+            n = sizes[case % len(sizes)]
+            labels, rules = self.bucket_theory(rng, n, kinds[case // len(sizes) % 4])
+            header = "elements: " + " ".join(labels) + "\n"
+            theory = tmp_path / "t.imp"
+            theory.write_text(header + "".join(r + "\n" for r in rules), encoding="utf-8")
+            gamma = tmp_path / "t.fam"
+            gamma.write_text(header + "".join(
+                " ".join(rng.sample(labels, rng.randint(1, min(4, n)))) + "\n"
+                for _ in range(rng.randint(1, 4))
+            ), encoding="utf-8")
+            universe, sigma = load_implications(theory.read_text(encoding="utf-8"))
+            _, gamma_sets = load_family(gamma.read_text(encoding="utf-8"))
+            cut, full = (n + 1) // 2, (1 << n) - 1
+            for extra, complications in (((), ()), (("--gamma", str(gamma)), gamma_sets.masks())):
+                flat = hornkit.closure.flat_rows(sigma, complications)
+                masks = list(hornkit.closure.lectic_masks(sigma, complications))
+                assert masks == [k & full for k in sorted(reference_lectic_keys(n, flat))]
+                if n <= 14:
+                    assert sorted(masks) == [m for m in brute_closed_masks(n, sigma)
+                                             if all(g & ~m for g in complications)]
+                want = "".join(
+                    (" ".join(labels[p] for p in bits(m)) or "-") + "\n" for m in masks
+                )
+                code, out, err = run(capsys, "enumerate", "--sigma", str(theory), *extra,
+                                     "--lectic")
+                assert code == 0 and err == "" and out == want
+                for block in (1, 7, 64):
+                    groups = hornkit.closure.lectic_groups(sigma, complications)
+                    parts = list(universe.lectic_lines(groups, block))
+                    assert "".join(p + "\n" for p in parts) == want
+                    lines = [p.count("\n") + 1 for p in parts]
+                    assert all(k < 2 * block for k in lines)
+                    assert all(k >= block for k in lines[:-1])
+                frees = [f for _, _, f, _ in flat if f]
+                seen["one half"] += bool(frees) and (
+                    all(not f >> cut for f in frees) or all(not f & (1 << cut) - 1 for f in frees)
+                )
+                seen["empty closed" if masks[:1] == [0] else "empty not closed"] += 1
+                longest = max(Counter(m & (1 << cut) - 1 for m in masks).values(), default=0)
+                seen["sliced"] += longest > 7
+                seen["sliced at 64"] += longest > 64
+                seen["sliced by the CLI"] += longest > 1024
+        assert seen.pop("sliced by the CLI") >= 3 and seen.pop("sliced at 64") >= 10, seen
+        assert min(seen.values()) >= 20, seen
 
 
 class TestErrors:

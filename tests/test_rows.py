@@ -254,6 +254,55 @@ class TestRowLines:
                         u.row_lines(iter(listing))
         assert uni(6).row_lines([]) == ""
 
+    @pytest.mark.parametrize("n", [18, 19, 30, 64, 601])
+    def test_blocks_with_wide_rows_match_the_oracle(self, n):
+        # a block holding a row of over 8 bubbles is written in runs: rows
+        # of 0-12 bubbles and of the most a row can hold, alone and in runs
+        # of equal counts, at the start, middle and end of a block
+        rng = rng_for(53000 + n)
+        u = uni(n)
+        block = _row_layout(n)[0]
+        rows = []
+        while len(rows) < 2 * block + 3:
+            k = rng.choice([0, 1, 5, 8, 9, 9, 10, 12, n // 2])
+            rows += [partition_row(rng, n, min(k, n // 2))] * rng.choice([1, 1, 2, 3])
+        want = [oracle_row_text(Row012n(u, *r)) for r in rows]
+        for start, stop in ((0, len(rows)), (0, 1), (block - 2, block + 2), (5, 9)):
+            assert u.row_lines(rows[start:stop]) == "\n".join(want[start:stop])
+            assert u.row_lines(iter(rows[start:stop])) == "\n".join(want[start:stop])
+        assert sum(len(r[3]) > 8 for r in rows) > block // 4
+
+    def test_bad_rows_among_wide_rows_are_refused(self):
+        # each fault in a row of many bubbles, or next to one, in any run
+        rng = rng_for(53700)
+        for n in (18, 53, 601):
+            u = uni(n)
+            block = _row_layout(n)[0]
+            wide = partition_row(rng, n, n // 2)
+            nine = partition_row(rng, n, 9)
+            ones, zeros, free, bubbles = wide
+            b0, b1 = bubbles[0], bubbles[1]
+            low = b0 & -b0
+            bad = [
+                (ones, zeros | b0 ^ low, free, (low, *bubbles[1:])),  # a one-position bubble
+                (ones, zeros, free, (b0 | b1 & -b1, *bubbles[1:])),  # two bubbles overlap
+                (ones, zeros, free, bubbles[1:]),  # the positions of b0 in no part
+                (ones, zeros, free, (*bubbles, -4)),  # a negative bubble
+                (ones | 1 << n, zeros, free, bubbles),  # a position outside the universe
+                (ones, zeros, free, (*bubbles[1:], b0, b0)),  # one bubble twice
+                (-1, zeros, free, bubbles),  # a negative mask
+            ]
+            good = (0, 0, u.full_mask, ())
+            for row in bad:
+                with pytest.raises(InvariantError):
+                    Row012n(u, *row)
+                for listing in ([good, nine, row], [wide, wide, row, good], [row, nine],
+                                [good] * block + [nine, row, wide]):
+                    with pytest.raises(InvariantError):
+                        u.row_lines(listing)
+                fixed = (ones, zeros, free, bubbles)
+                assert u.row_lines([good, nine, fixed]).count("\n") == 2
+
     @pytest.mark.parametrize("n", [1, 2, 8, 22, 52, 53, 54, 64, 601])
     def test_listings_of_every_length_match_the_oracle(self, n):
         # lengths around the block size, lists and generators, rows of
