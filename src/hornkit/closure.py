@@ -603,20 +603,21 @@ def lectic_groups(
     free chunk. L is built ascending and appended with one ``list +=`` to
     the bucket of every h in H, and each bucket is sorted by ``list.sort``
     when its turn comes. So a set costs no Python bytecode of its own,
-    and memory is one list slot per set beside the rows. The buckets are built when this
-    is called; the groups come as they are sorted.
+    and memory is one list slot per set and one list per group beside
+    the rows; a row and a group cost a few bytecodes each, so a listing
+    whose groups hold one set each pays them per set. The buckets are
+    built when this is called; the groups come as they are sorted.
     """
     n = sigma.universe.size
     cut = _lectic_cut(n)
     width = n - cut
     low, upper = (1 << cut) - 1, (1 << width) - 1
-    fmt = f"0{n}b"
     lowers = _Cache(partial(_reversed_submasks, cut))
     uppers = _Cache(partial(_reversed_submasks, width))
     buckets: defaultdict[int, list[int]] = defaultdict(list)
     for ones, _, free, _ in flat_rows(sigma, complications):
         # reversed over all n positions: the lower chunk lands above the upper
-        ones = int(format(ones, fmt)[::-1], 2)
+        ones = _reversed(ones, n)
         ls = uppers[free >> cut]
         if ones & upper:
             ls = list(map((ones & upper).__or__, ls))

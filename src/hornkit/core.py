@@ -177,21 +177,22 @@ class Universe:
         A group is the reversed lower chunk h of its sets and the ascending
         list of their reversed upper chunks (see ``_lectic_cut``). It is
         written as one prefix, the text of h, and one ``str.join`` over a
-        ``map`` of a per-listing cache of upper-chunk texts, each made by
-        ``text`` on first read; so a set costs no Python bytecode of its
-        own. The group of h = 0 reads a second cache, whose entries have
-        no space in front and whose empty chunk, the empty set, is "-".
+        ``map`` of a per-listing cache of upper-chunk texts
+        (``_spaced_texts``); so a set whose upper chunk is cached costs no
+        Python bytecode of its own, and a set whose upper chunk is new
+        costs one cache miss. The group of h = 0 reads a second cache,
+        whose entries have no space in front and whose empty chunk, the
+        empty set, is "-". Each cache holds at most ``_CACHE_LIMIT``
+        entries.
         """
-        text = self.text
         cut = _lectic_cut(self.size)
-        width = self.size - cut
-        upper = _Cache(lambda chunk: " " + text(_reversed(chunk, width) << cut))
-        upper[0] = ""
-        bare = _Cache(lambda chunk: text(_reversed(chunk, width) << cut) or "-")
+        heads = _spaced_texts(self.text, 0, cut)
+        upper = _spaced_texts(self.text, cut, self.size - cut)
+        bare = _Cache(lambda chunk: upper[chunk][1:] or "-")
         parts: list[str] = []
         count = 0
         for h, group in groups:
-            head = text(_reversed(h, cut))
+            head = heads[h][1:]
             get = (upper if h else bare).__getitem__
             for i in range(0, len(group), block):
                 part = group[i : i + block]
@@ -233,10 +234,10 @@ class Universe:
         each lane, a constant puts " " or, at a row's last position, "\n"
         in the high half, and the block's text is the integer's bytes,
         decoded once. Names past z are written by one ``str.translate``
-        per block. A block that holds a row of more than ``_ROW_SLOTS`` (8)
-        bubbles is first cut into runs (``_slot_run``), each written as a
-        block of its own, so that such a row spreads its bubble slots over
-        its own run and not over the whole block.
+        per block. Each block is first cut into runs (``_slot_run``), each
+        written as a block of its own: rows of up to ``_ROW_SLOTS`` (8)
+        bubbles share a run, so such a block is one run, and a wider row
+        spreads its bubble slots over its own run, not the whole block.
 
         Each block or run is checked as ``rows.Row012n`` checks one row:
         every mask is nonnegative and inside the universe (no "-" in a bit
@@ -249,11 +250,7 @@ class Universe:
         rows = iter(rows)
         texts = []
         while block := list(islice(rows, layout[0])):
-            if max([len(row[3]) for row in block]) <= _ROW_SLOTS:
-                texts.append(_row_text(n, layout, block))
-            else:
-                # a row of many bubbles spreads them over its own run only
-                texts += [_row_text(n, layout, list(run)) for _, run in groupby(block, _slot_run)]
+            texts += [_row_text(n, layout, list(run)) for _, run in groupby(block, _slot_run)]
         if texts:
             texts[-1] = texts[-1][:-1]  # the last row ends the text
         return "".join(texts)
@@ -350,9 +347,17 @@ class _TextTable(dict):
 _entry = dict.__getitem__
 
 
+#: the most entries a ``_Cache`` holds: as many as the largest half table
+#: of ``Universe._text_tables``, so a lectic listing of up to 24 positions,
+#: whose upper chunks take at most 4,096 values, never empties one
+_CACHE_LIMIT = 1 << 12
+
+
 class _Cache(dict):
     """A dict that makes each missing entry by one call of ``make``, so
-    that ``map(cache.__getitem__, keys)`` runs no Python code on a hit."""
+    that ``map(cache.__getitem__, keys)`` runs no Python code on a hit. A
+    miss on a full cache (``_CACHE_LIMIT`` entries) empties it first, so
+    its memory stays bounded however many keys a listing reads."""
 
     __slots__ = ("make",)
 
@@ -361,8 +366,23 @@ class _Cache(dict):
         self.make = make
 
     def __missing__(self, key: int) -> object:
+        if len(self) >= _CACHE_LIMIT:
+            self.clear()
         value = self[key] = self.make(key)
         return value
+
+
+def _spaced_texts(text: Callable[[int], str], start: int, width: int) -> _Cache:
+    """A cache of the texts of the reversed chunks of the ``width``
+    positions from ``start`` on, each label after one space, "" for the
+    empty chunk. A miss joins the cached texts of the chunk's two halves,
+    each made by ``text`` on first read, so a listing of many distinct
+    chunks makes few texts."""
+    k = width // 2
+    top = _Cache(lambda chunk: " " + text(_reversed(chunk, width - k) << start) if chunk else "")
+    low = _Cache(lambda chunk: " " + text(_reversed(chunk, k) << start + width - k) if chunk else "")
+    mask = (1 << k) - 1
+    return _Cache(lambda chunk: top[chunk >> k] + low[chunk & mask])
 
 
 def _lectic_cut(n: int) -> int:
@@ -377,8 +397,15 @@ def _lectic_cut(n: int) -> int:
 
 def _reversed(chunk: int, width: int) -> int:
     """The chunk of ``width`` bits read backwards: bit i goes to bit
-    width - 1 - i."""
-    return int(format(chunk, f"0{width}b")[::-1], 2)
+    width - 1 - i. Its bytes are reversed by ``_REVERSED_BYTES`` and read
+    in the other byte order, in three C calls."""
+    nbytes = (width + 7) >> 3
+    turned = chunk.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(turned, "big") >> (nbytes << 3) - width
+
+
+#: byte b read backwards, at index b
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 #: the most rows ``Universe.row_lines`` renders at once, and the most
@@ -417,15 +444,14 @@ def _row_layout(n: int) -> tuple:
 
 
 #: the most bubble slots a block of ``Universe.row_lines`` spreads over all
-#: its rows; a block with a wider row is cut into runs (``_slot_run``)
+#: its rows; a wider row is cut into a run of its own (``_slot_run``)
 _ROW_SLOTS = 8
 
 
 def _slot_run(row: tuple[int, int, int, tuple[int, ...]]) -> int:
-    """The run key of a row in a block with a row of over ``_ROW_SLOTS``
-    bubbles: rows of up to ``_ROW_SLOTS`` bubbles share a run, and a wider
-    row starts one, shared only by the rows right after it with as many
-    bubbles."""
+    """The run key of a row in a block of ``Universe.row_lines``: rows of
+    up to ``_ROW_SLOTS`` bubbles share a run, and a wider row starts one,
+    shared only by the rows right after it with as many bubbles."""
     return max(_ROW_SLOTS, len(row[3]))
 
 

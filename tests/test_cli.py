@@ -646,6 +646,42 @@ class TestLecticBlocks:
         assert seen.pop("sliced by the CLI") >= 3 and seen.pop("sliced at 64") >= 10, seen
         assert min(seen.values()) >= 20, seen
 
+    def test_listings_past_the_cache_limit_match_the_oracle(self, capsys, tmp_path):
+        # 13 positions of the lower half each tied both ways to one of the
+        # upper half, the rest axioms: 8,192 closed sets, each alone in its
+        # group, with 8,192 distinct lower and upper chunks, so every text
+        # and mask cache of the listing fills and is emptied on the way
+        for case, n in enumerate((26, 31, 40, 40)):
+            rng = rng_for(63000 + case)
+            cut = (n + 1) // 2
+            labels = [f"{chr(97 + i % 26)}{i}" for i in range(n)]
+            pairs = zip(rng.sample(range(cut), 13), rng.sample(range(cut, n), 13))
+            rules = [r for p, q in pairs for r in (f"{labels[p]} -> {labels[q]}",
+                                                   f"{labels[q]} -> {labels[p]}")]
+            tied = {lab for r in rules for lab in r.split(" -> ")}
+            rules += [f"-> {lab}" for lab in labels if lab not in tied]
+            header = "elements: " + " ".join(labels) + "\n"
+            theory = tmp_path / "t.imp"
+            theory.write_text(header + "".join(r + "\n" for r in rules), encoding="utf-8")
+            gamma = tmp_path / "t.fam"
+            gamma.write_text(header + " ".join(rng.sample(sorted(tied), 3)) + "\n",
+                             encoding="utf-8")
+            universe, sigma = load_implications(theory.read_text(encoding="utf-8"))
+            _, gamma_sets = load_family(gamma.read_text(encoding="utf-8"))
+            for extra, complications in (((), ()), (("--gamma", str(gamma)), gamma_sets.masks())):
+                flat = hornkit.closure.flat_rows(sigma, complications)
+                masks = list(hornkit.closure.lectic_masks(sigma, complications))
+                assert masks == [k & universe.full_mask
+                                 for k in sorted(reference_lectic_keys(n, flat))]
+                assert len(masks) > 6000
+                assert len({m >> cut for m in masks}) == len(masks)
+                want = "".join(
+                    (" ".join(labels[p] for p in bits(m)) or "-") + "\n" for m in masks
+                )
+                code, out, err = run(capsys, "enumerate", "--sigma", str(theory), *extra,
+                                     "--lectic")
+                assert code == 0 and err == "" and out == want
+
 
 class TestErrors:
     def test_domain_error_exit_one(self, files, capsys):

@@ -29,7 +29,7 @@ from hornkit import (
     unit_expand,
 )
 from hornkit.closure import Closure
-from hornkit.core import bits, set_text
+from hornkit.core import _CACHE_LIMIT, _reversed, _spaced_texts, bits, set_text
 
 from conftest import (
     EQ27_CD,
@@ -459,6 +459,25 @@ class TestMaskText:
             assert pickle.dumps(u) == before[2]
             back = pickle.loads(before[2])
             assert back == u and back._text is None
+
+    def test_reversed_chunks_and_their_texts(self):
+        # _reversed reads a chunk backwards at every width up to 70 bits, and
+        # _spaced_texts gives the spaced label join of a reversed chunk, also
+        # once its cache has been emptied on reaching _CACHE_LIMIT entries
+        rng = rng_for(3100)
+        for width in range(71):
+            for c in (0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(20))):
+                assert _reversed(c, width) == sum(1 << width - 1 - p for p in bits(c))
+        for n, start, width in ((1, 0, 1), (1, 1, 0), (19, 10, 9), (40, 0, 20), (40, 20, 20),
+                                (200, 100, 100)):
+            labels = self.labels(n)
+            texts = _spaced_texts(Universe(labels).text, start, width)
+            chunks = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(5000))]
+            for _ in range(2):
+                for c in chunks:
+                    positions = [start + width - 1 - j for j in bits(c)]
+                    assert texts[c] == "".join(" " + labels[p] for p in sorted(positions))
+                    assert len(texts) <= _CACHE_LIMIT
 
     def test_empty_listing_and_empty_set(self):
         u = uni(3)
