@@ -14,14 +14,15 @@ line, or several joined by newlines) and writes nothing itself; ``main``
 prints each non-empty block once, as it comes, so an empty result prints
 nothing and a long listing streams. A lectic listing of ``--sigma`` stays
 in the groups of ``closure.lectic_groups`` (the sets that share their
-lower half of the positions) until ``Universe.lectic_lines`` writes each
-group straight to text, in blocks of about ``_LISTING_BLOCK`` lines; one
-of ``--family`` is a stream of masks, printed by ``Universe.lines``
-``_LISTING_BLOCK`` lines per block. 012n rows stay plain mask tuples,
-printed ``_LISTING_BLOCK`` rows per block (each block expanded on its own
-with ``--expand``). Sets are written by ``Universe.text`` and the
-``lines`` writers, which write the empty set as ``-``, the glyph that
-family files use, and rows by ``Universe.row_lines``.
+lower half of the positions; its rows are built from rules mirrored
+once, so their bits are in lectic order) until ``closure.lectic_lines``
+writes each group straight to text, in blocks of about ``_LISTING_BLOCK``
+lines; one of ``--family`` is a stream of masks, printed by
+``Universe.lines`` ``_LISTING_BLOCK`` lines per block. 012n rows stay
+plain mask tuples, printed ``_LISTING_BLOCK`` rows per block (each block
+expanded on its own with ``--expand``). Sets are written by
+``Universe.text`` and the ``lines`` writers, which write the empty set as
+``-``, the glyph that family files use, and rows by ``Universe.row_lines``.
 
 ``main`` may be called any number of times in one process: the argparse
 tree is built once, by the first call, and keeps nothing from one call to
@@ -225,7 +226,7 @@ def _cmd_enumerate(args, universe, source) -> Iterator[str]:
         if args.gamma or isinstance(source, ImplicationSet):
             h = _horn_system(args, universe, source)
             groups = closure.lectic_groups(h.sigma, h.gamma.masks())
-            yield from universe.lectic_lines(groups, _LISTING_BLOCK)
+            yield from closure.lectic_lines(universe, groups, _LISTING_BLOCK)
             return
         masks = closure.lectic_masks(source)
         while block := list(islice(masks, _LISTING_BLOCK)):

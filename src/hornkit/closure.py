@@ -2,9 +2,10 @@
 semantic consequence, and every engine that lists closed sets: the 012n
 row engine (the closed sets of Σ, or the models of Σ plus complications,
 as disjoint rows) and the lectic listings read off those rows or made by
-NextClosure. LinClosure gives every closure of an implication family; the
-row-wise rounds serve ``step``, ``is_closed``, ``close_trace`` and the
-"row" cross-check.
+NextClosure, with the bit order and text of a listing (``lectic_lines``).
+LinClosure gives every closure of an implication family; the row-wise
+rounds serve ``step``, ``is_closed``, ``close_trace`` and the "row"
+cross-check.
 
 This module imports only ``core`` and ``errors``. ``rows`` wraps the row
 engine in its public ``Row012n``/``RowSystem`` values, and ``dualize``
@@ -25,10 +26,7 @@ from .core import (
     Implication,
     SetFamily,
     Universe,
-    _Cache,
     _Value,
-    _lectic_cut,
-    _reversed,
     bits,
     submasks,
 )
@@ -594,47 +592,39 @@ def lectic_groups(
     """The closed sets of sigma that cover no complication mask, in lectic
     order, grouped by their lower chunk: pairs (h, uppers), in ascending
     h, of a reversed lower chunk and the ascending list of the reversed
-    upper chunks of its sets (see ``core._lectic_cut``).
+    upper chunks of its sets (see ``_lectic_cut``).
 
-    A bubble-free row of ``flat_rows`` is the product of the list H of
-    its lower chunks and the list L of its upper chunks. Each is its
-    reversed forced ones OR'ed onto the submask list of its reversed free
-    positions, and the submask lists are made once per listing for each
-    free chunk. L is built ascending and appended with one ``list +=`` to
-    the bucket of every h in H, and each bucket is sorted by ``list.sort``
-    when its turn comes. So a set costs no Python bytecode of its own,
-    and memory is one list slot per set and one list per group beside
-    the rows; a row and a group cost a few bytecodes each, so a listing
-    whose groups hold one set each pays them per set. The buckets are
-    built when this is called; the groups come as they are sorted.
+    The rules and complications are mirrored once, position p to bit
+    n - 1 - p (``_reversed``), and the rows are the ``flat_rows`` of the
+    mirrored rules: so every row mask is in lectic bit order already, its
+    top bits (``>> width``) the reversed lower chunk and the rest the
+    reversed upper chunk. A bubble-free row is the product of the list H
+    of its lower chunks and the list L of its upper chunks, each its
+    forced ones OR'ed onto the ascending submask list of its free
+    positions, made once per listing for each free chunk. L is appended
+    with one ``list +=`` to the bucket of every h in H, and each bucket
+    is sorted by ``list.sort`` when its turn comes. So a set costs no
+    Python bytecode of its own, and memory is one list slot per set and
+    one list per group beside the rows; a row and a group cost a few
+    bytecodes each, so a listing whose groups hold one set each pays them
+    per set. The buckets are built when this is called; the groups come
+    as they are sorted.
     """
     n = sigma.universe.size
-    cut = _lectic_cut(n)
-    width = n - cut
-    low, upper = (1 << cut) - 1, (1 << width) - 1
-    lowers = _Cache(partial(_reversed_submasks, cut))
-    uppers = _Cache(partial(_reversed_submasks, width))
+    width = n - _lectic_cut(n)
+    upper = (1 << width) - 1
+    pairs = [(_reversed(prem, n), _reversed(conc, n)) for prem, conc in sigma.mask_pairs()]
+    mirrored = ImplicationSet.from_pairs(sigma.universe, pairs)
+    gamma = [_reversed(g, n) for g in complications]
+    subs = _Cache(lambda chunk: list(submasks(chunk))[::-1])
     buckets: defaultdict[int, list[int]] = defaultdict(list)
-    for ones, _, free, _ in flat_rows(sigma, complications):
-        # reversed over all n positions: the lower chunk lands above the upper
-        ones = _reversed(ones, n)
-        ls = uppers[free >> cut]
+    for ones, _, free, _ in flat_rows(mirrored, gamma):
+        ls = subs[free & upper]
         if ones & upper:
             ls = list(map((ones & upper).__or__, ls))
-        for h in map((ones >> width).__or__, lowers[free & low]):
+        for h in map((ones >> width).__or__, subs[free >> width]):
             buckets[h] += ls
     return _sorted_groups(buckets)
-
-
-def _reversed_submasks(width: int, chunk: int) -> list[int]:
-    """The submasks of the reversed chunk of width positions, ascending:
-    each of its bits, from the lowest up, doubles the list with itself
-    plus that bit."""
-    out = [0]
-    for p in bits(_reversed(chunk, width)):
-        bit = 1 << p
-        out += [x | bit for x in out]
-    return out
 
 
 def _sorted_groups(buckets: dict[int, list[int]]) -> Iterator[tuple[int, list[int]]]:
@@ -659,6 +649,7 @@ def lectic_masks(source: ClosureSource, complications: Iterable[int] = ()) -> It
     and takes no complications.
     """
     universe = source_universe(source)
+    complications = tuple(complications)
     if isinstance(source, ImplicationSet):
         n = universe.size
         cut = _lectic_cut(n)
@@ -672,6 +663,106 @@ def lectic_masks(source: ClosureSource, complications: Iterable[int] = ()) -> It
     if complications:
         raise TypeError("complications need an implication family")
     return _next_closure(Closure.wrap(source))
+
+
+def lectic_lines(
+    universe: Universe, groups: Iterable[tuple[int, list[int]]], block: int
+) -> Iterator[str]:
+    """The sets of ``lectic_groups`` groups, one line each as
+    ``Universe.lines`` writes them, in text blocks of about ``block``
+    lines; a group longer than a block is written in slices of ``block``
+    sets.
+
+    A group is the reversed lower chunk h of its sets and the ascending
+    list of their reversed upper chunks (see ``_lectic_cut``). It is
+    written as one prefix, the text of h, and one ``str.join`` over a
+    ``map`` of a per-listing cache of upper-chunk texts
+    (``_spaced_texts``); so a set whose upper chunk is cached costs no
+    Python bytecode of its own, and a set whose upper chunk is new costs
+    one cache miss. The group of h = 0 reads a second cache, whose
+    entries have no space in front and whose empty chunk, the empty set,
+    is "-". Each cache holds at most ``_CACHE_LIMIT`` entries.
+    """
+    cut = _lectic_cut(universe.size)
+    heads = _spaced_texts(universe.text, 0, cut)
+    upper = _spaced_texts(universe.text, cut, universe.size - cut)
+    bare = _Cache(lambda chunk: upper[chunk][1:] or "-")
+    parts: list[str] = []
+    count = 0
+    for h, group in groups:
+        head = heads[h][1:]
+        get = (upper if h else bare).__getitem__
+        for i in range(0, len(group), block):
+            part = group[i : i + block]
+            parts.append(head + ("\n" + head).join(map(get, part)))
+            count += len(part)
+            if count >= block:
+                yield "\n".join(parts)
+                parts = []
+                count = 0
+    if parts:
+        yield "\n".join(parts)
+
+
+def _lectic_cut(n: int) -> int:
+    """The lectic listing's cut of n positions into a lower chunk, the
+    positions below ceil(n/2), and an upper chunk, the rest; up to 24
+    positions it is the cut of ``Universe._text_tables``. Each chunk is
+    read bit-reversed (``_reversed``), its smallest position most
+    significant, so lectic order is the order of the reversed lower
+    chunks, then of the reversed upper ones."""
+    return (n + 1) // 2
+
+
+def _reversed(chunk: int, width: int) -> int:
+    """The chunk of ``width`` bits read backwards: bit i goes to bit
+    width - 1 - i. Its bytes are reversed by ``_REVERSED_BYTES`` and read
+    in the other byte order, in three C calls."""
+    nbytes = (width + 7) >> 3
+    turned = chunk.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(turned, "big") >> (nbytes << 3) - width
+
+
+#: byte b read backwards, at index b
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+#: the most entries a ``_Cache`` holds: as many as the largest half table
+#: of ``Universe._text_tables``, so a lectic listing of up to 24 positions,
+#: whose chunks take at most 4,096 values, never empties one
+_CACHE_LIMIT = 1 << 12
+
+
+class _Cache(dict):
+    """A dict that makes each missing entry by one call of ``make``, so
+    that ``map(cache.__getitem__, keys)`` runs no Python code on a hit. A
+    miss on a full cache (``_CACHE_LIMIT`` entries) empties it first, so
+    its memory stays bounded however many keys a listing reads."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> object:
+        if len(self) >= _CACHE_LIMIT:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+def _spaced_texts(text: Callable[[int], str], start: int, width: int) -> _Cache:
+    """A cache of the texts of the reversed chunks of the ``width``
+    positions from ``start`` on, each label after one space, "" for the
+    empty chunk. A miss joins the cached texts of the chunk's two halves,
+    each made by ``text`` on first read, so a listing of many distinct
+    chunks makes few texts."""
+    k = width // 2
+    top = _Cache(lambda chunk: " " + text(_reversed(chunk, width - k) << start) if chunk else "")
+    low = _Cache(lambda chunk: " " + text(_reversed(chunk, k) << start + width - k) if chunk else "")
+    mask = (1 << k) - 1
+    return _Cache(lambda chunk: top[chunk >> k] + low[chunk & mask])
 
 
 def enumerate_closed_lectic(source: ClosureSource) -> Iterator[AttrSet]:

@@ -169,42 +169,6 @@ class Universe:
             for m in masks
         ])
 
-    def lectic_lines(self, groups: Iterable[tuple[int, list[int]]], block: int) -> Iterator[str]:
-        """The sets of ``closure.lectic_groups`` groups, one line each as
-        ``lines`` writes them, in text blocks of about ``block`` lines; a
-        group longer than a block is written in slices of ``block`` sets.
-
-        A group is the reversed lower chunk h of its sets and the ascending
-        list of their reversed upper chunks (see ``_lectic_cut``). It is
-        written as one prefix, the text of h, and one ``str.join`` over a
-        ``map`` of a per-listing cache of upper-chunk texts
-        (``_spaced_texts``); so a set whose upper chunk is cached costs no
-        Python bytecode of its own, and a set whose upper chunk is new
-        costs one cache miss. The group of h = 0 reads a second cache,
-        whose entries have no space in front and whose empty chunk, the
-        empty set, is "-". Each cache holds at most ``_CACHE_LIMIT``
-        entries.
-        """
-        cut = _lectic_cut(self.size)
-        heads = _spaced_texts(self.text, 0, cut)
-        upper = _spaced_texts(self.text, cut, self.size - cut)
-        bare = _Cache(lambda chunk: upper[chunk][1:] or "-")
-        parts: list[str] = []
-        count = 0
-        for h, group in groups:
-            head = heads[h][1:]
-            get = (upper if h else bare).__getitem__
-            for i in range(0, len(group), block):
-                part = group[i : i + block]
-                parts.append(head + ("\n" + head).join(map(get, part)))
-                count += len(part)
-                if count >= block:
-                    yield "\n".join(parts)
-                    parts = []
-                    count = 0
-        if parts:
-            yield "\n".join(parts)
-
     def _text_tables(self) -> list[_TextTable]:
         """The chunk tables of ``text`` and ``lines``, made once. The chunk
         width follows from the universe size n: up to 24 positions, two
@@ -345,67 +309,6 @@ class _TextTable(dict):
 
 #: a table entry, read with ``__missing__``; ``map`` calls it once per chunk
 _entry = dict.__getitem__
-
-
-#: the most entries a ``_Cache`` holds: as many as the largest half table
-#: of ``Universe._text_tables``, so a lectic listing of up to 24 positions,
-#: whose upper chunks take at most 4,096 values, never empties one
-_CACHE_LIMIT = 1 << 12
-
-
-class _Cache(dict):
-    """A dict that makes each missing entry by one call of ``make``, so
-    that ``map(cache.__getitem__, keys)`` runs no Python code on a hit. A
-    miss on a full cache (``_CACHE_LIMIT`` entries) empties it first, so
-    its memory stays bounded however many keys a listing reads."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[int], object]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int) -> object:
-        if len(self) >= _CACHE_LIMIT:
-            self.clear()
-        value = self[key] = self.make(key)
-        return value
-
-
-def _spaced_texts(text: Callable[[int], str], start: int, width: int) -> _Cache:
-    """A cache of the texts of the reversed chunks of the ``width``
-    positions from ``start`` on, each label after one space, "" for the
-    empty chunk. A miss joins the cached texts of the chunk's two halves,
-    each made by ``text`` on first read, so a listing of many distinct
-    chunks makes few texts."""
-    k = width // 2
-    top = _Cache(lambda chunk: " " + text(_reversed(chunk, width - k) << start) if chunk else "")
-    low = _Cache(lambda chunk: " " + text(_reversed(chunk, k) << start + width - k) if chunk else "")
-    mask = (1 << k) - 1
-    return _Cache(lambda chunk: top[chunk >> k] + low[chunk & mask])
-
-
-def _lectic_cut(n: int) -> int:
-    """The lectic listing's cut of n positions into a lower chunk, the
-    positions below ceil(n/2), and an upper chunk, the rest; up to 24
-    positions it is the cut of ``Universe._text_tables``. Each chunk is
-    read bit-reversed (``_reversed``), its smallest position most
-    significant, so lectic order is the order of the reversed lower
-    chunks, then of the reversed upper ones."""
-    return (n + 1) // 2
-
-
-def _reversed(chunk: int, width: int) -> int:
-    """The chunk of ``width`` bits read backwards: bit i goes to bit
-    width - 1 - i. Its bytes are reversed by ``_REVERSED_BYTES`` and read
-    in the other byte order, in three C calls."""
-    nbytes = (width + 7) >> 3
-    turned = chunk.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
-    return int.from_bytes(turned, "big") >> (nbytes << 3) - width
-
-
-#: byte b read backwards, at index b
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 #: the most rows ``Universe.row_lines`` renders at once, and the most

@@ -589,13 +589,14 @@ class TestLecticBlocks:
         return labels, rules
 
     def test_bucket_engine_matches_the_oracle_keys(self, capsys, tmp_path):
-        # 324 theories at n = 1, 2, 3-26 and 40, each with and without
-        # complications: lectic_masks is the sorted bit-by-bit oracle keys cut
-        # back to masks (and the brute-force closed sets up to 14 elements),
-        # the CLI prints their label join, and lectic_lines gives the same
-        # text in blocks of at least `block` and under 2 * `block` lines, a
-        # group longer than a block cut in slices
-        sizes = [1, 2, *range(3, 27), 40]
+        # 360 theories at n = 1, 2, 3-26, 33, 40, 64 and 65, across a byte
+        # and a 64-bit word, each with and without complications:
+        # lectic_masks is the sorted bit-by-bit oracle keys cut back to
+        # masks (and the brute-force closed sets up to 14 elements), the CLI
+        # prints their label join, and lectic_lines gives the same text in
+        # blocks of at least `block` and under 2 * `block` lines, a group
+        # longer than a block cut in slices
+        sizes = [1, 2, *range(3, 27), 33, 40, 64, 65]
         kinds = ("tied", "axioms", "low", "high")
         seen = {"one half": 0, "empty closed": 0, "empty not closed": 0, "sliced": 0,
                 "sliced at 64": 0, "sliced by the CLI": 0}
@@ -629,7 +630,7 @@ class TestLecticBlocks:
                 assert code == 0 and err == "" and out == want
                 for block in (1, 7, 64):
                     groups = hornkit.closure.lectic_groups(sigma, complications)
-                    parts = list(universe.lectic_lines(groups, block))
+                    parts = list(hornkit.closure.lectic_lines(universe, groups, block))
                     assert "".join(p + "\n" for p in parts) == want
                     lines = [p.count("\n") + 1 for p in parts]
                     assert all(k < 2 * block for k in lines)

@@ -749,6 +749,16 @@ class TestLecticEnumeration:
             with pytest.raises(TypeError, match="complications"):
                 lectic_masks(source, gamma)
 
+    def test_complications_may_be_one_shot_iterators(self):
+        # an empty iterator is no complication, also on input without rules,
+        # and a generator of complications lists the masks that a list does
+        for source in (EQ25_MF, Closure.from_sigma(EQ38)):
+            want = [s.mask for s in enumerate_closed_lectic(source)]
+            assert list(lectic_masks(source, iter(()))) == want and len(want) == 22
+        gamma = [aset(U6, "1 2").mask, aset(U6, "3 6").mask]
+        got = list(lectic_masks(EQ38, (g for g in gamma)))
+        assert got == list(lectic_masks(EQ38, gamma)) and len(got) == 14
+
     def edge_sigma(self, rng, u: Universe, case: int) -> ImplicationSet:
         """Random rules, with the corners the rows listing must survive:
         no rules, axioms, tautologies and repeated rules."""

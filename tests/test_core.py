@@ -28,8 +28,8 @@ from hornkit import (
     trim_conclusions,
     unit_expand,
 )
-from hornkit.closure import Closure
-from hornkit.core import _CACHE_LIMIT, _reversed, _spaced_texts, bits, set_text
+from hornkit.closure import _CACHE_LIMIT, Closure, _reversed, _spaced_texts
+from hornkit.core import bits, set_text
 
 from conftest import (
     EQ27_CD,
