@@ -4,7 +4,8 @@ their text format.
 Sets are bit-vectors indexed by universe position (a Python int, so
 universes beyond 64 elements cost nothing extra), which keeps all the set
 algebra in the closure algorithms word-parallel. Rule sets hold mask
-pairs and families hold masks: parsing maps labels straight to bits, and
+pairs and families hold masks: parsing maps labels straight to bits (one
+table lookup per label, see ``Universe._bit_table``), and
 ``Implication`` and ``AttrSet`` objects are built only when asked for.
 
 The package's value types, ``Universe`` aside, are plain ``__slots__``
@@ -83,29 +84,48 @@ def extreme_masks(masks: Iterable[int], maximal: bool = False) -> list[int]:
     return kept
 
 
+def _check_labels(labels: tuple[str, ...]) -> None:
+    """ParseError for the first label, in order, that breaks a rule of
+    ``Universe``: the label itself, else a repeat of an earlier label."""
+    seen = set()
+    for lab in labels:
+        # sets render as labels one space apart, so a label must be one
+        # nonempty word; "-" is the empty set, "->" splits implication
+        # lines, "#" starts a comment, and a line that starts with the
+        # header is read as a header
+        if (
+            lab.split() != [lab] or lab == "-" or "->" in lab or "#" in lab
+            or lab.startswith(_HEADER)
+        ):
+            raise ParseError(f"illegal label {lab!r}")
+        if lab in seen:
+            raise ParseError(f"duplicate label {lab!r}")
+        seen.add(lab)
+
+
 class Universe:
     """Ordered set of attribute labels; positions are stable 0..size-1."""
 
-    __slots__ = ("labels", "index", "size", "full_mask", "_text")
+    __slots__ = ("labels", "index", "size", "full_mask", "_text", "_bits")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
         if not labels:
             raise ParseError("empty universe declaration")
-        index: dict[str, int] = {}
-        for pos, lab in enumerate(labels):
-            # sets render as labels one space apart, so a label must be one
-            # nonempty word; "-" is the empty set, "->" splits implication
-            # lines, "#" starts a comment, and a line that starts with the
-            # header is read as a header
-            if (
-                lab.split() != [lab] or lab == "-" or "->" in lab or "#" in lab
-                or lab.startswith(_HEADER)
-            ):
-                raise ParseError(f"illegal label {lab!r}")
-            if lab in index:
-                raise ParseError(f"duplicate label {lab!r}")
-            index[lab] = pos
+        index = dict(zip(labels, range(len(labels))))
+        # the rules of ``_check_labels``, each one test over all labels: the
+        # labels are distinct, each is one word (then the words of their
+        # join are the labels), none is "-", and none holds "->" or "#" or
+        # starts with the header (each label follows a space in " " + join)
+        try:
+            joined = " " + " ".join(labels)
+        except TypeError:  # a label that is no string
+            joined = ""
+        if (
+            len(index) != len(labels) or joined.split() != list(labels) or "-" in index
+            or "->" in joined or "#" in joined or " " + _HEADER in joined
+        ):
+            _check_labels(labels)
         self.labels = labels
         self.index = index
         self.size = len(labels)
@@ -116,6 +136,9 @@ class Universe:
         #: entry is written with one fixed text, so threads may share a
         #: universe
         self._text: list[_TextTable] | None = None
+        #: label -> one-bit mask (see ``_bit_table``), made on first use and,
+        #: like ``_text``, not part of the value
+        self._bits: dict[str, int] | None = None
 
     def __reduce__(self):
         return (type(self), (self.labels,))
@@ -241,16 +264,23 @@ class Universe:
 
     # -- set construction -------------------------------------------------
 
+    def _bit_table(self) -> dict[str, int]:
+        """Label -> one-bit mask, made once: every parser turns labels into
+        bits through this table, one lookup and one OR per label. Each
+        entry is written once, before the table is shared, so threads may
+        share a universe."""
+        table = self._bits = {lab: 1 << pos for pos, lab in enumerate(self.labels)}
+        return table
+
     def _mask(self, labels: Iterable[str]) -> int:
-        """The mask of a label list, through ``index``; every parser turns
-        labels into bits here."""
-        index = self.index
+        """The mask of a label list, through ``_bit_table``."""
+        table = self._bits or self._bit_table()
         mask = 0
         for lab in labels:
-            pos = index.get(lab)
-            if pos is None:
-                raise ParseError(f"unknown label {lab!r}")
-            mask |= 1 << pos
+            try:
+                mask |= table[lab]
+            except KeyError:
+                raise ParseError(f"unknown label {lab!r}") from None
         return mask
 
     def _parse_mask(self, text: str) -> int:
@@ -258,6 +288,13 @@ class Universe:
         empty set, and a "-" among labels is an unknown label."""
         tokens = text.split()
         return 0 if tokens == ["-"] else self._mask(tokens)
+
+    def _parse_rule(self, line: str) -> tuple[int, int]:
+        """The ``(premise, conclusion)`` masks of one implication line."""
+        left, arrow, right = line.partition("->")
+        if not arrow:
+            raise ParseError(f"missing '->' in {line!r}")
+        return self._parse_mask(left), self._parse_mask(right)
 
     def set_of(self, labels: Iterable[str]) -> AttrSet:
         return AttrSet(self, self._mask(labels))
@@ -744,57 +781,89 @@ class MeasureReport(_Value):
 
 
 # -- parsing ---------------------------------------------------------------
+#
+# A loader splits its text into lines once: ``parse_universe`` splits only
+# the lines up to the header, and ``parse_implications`` or ``parse_family``
+# split the whole text and drop a leading header. A body line's labels are mapped through ``Universe._bit_table`` in the
+# parser's own loop; a line that loop cannot map (a "-" side, an unknown
+# label, no "->", or a header) is read again by ``_reread``, which gives its
+# value or its ParseError, so the first bad line still raises first.
 
 
-def _content_lines(text: str) -> Iterator[str]:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+def _body_lines(text: str) -> list[str]:
+    """The content lines of ``text`` (comments cut, whitespace stripped,
+    blank lines dropped), after an optional leading header."""
+    lines = [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
+    if lines and lines[0].startswith(_HEADER):
+        del lines[0]
+    return lines
 
 
-def _body_lines(text: str) -> Iterator[str]:
-    """Content lines after an optional leading header; a later header is an
-    error rather than a line to skip."""
-    for i, line in enumerate(_content_lines(text)):
-        if line.startswith(_HEADER):
-            if i:
-                raise ParseError(f"second {_HEADER!r} header: {line!r}")
-            continue
-        yield line
+def _reread(line: str, read: Callable[[str], object]):
+    """``read(line)`` of a body line the parser's loop could not map: the
+    value of a line with a "-" side, else the line's ParseError. A header
+    lands here, as no label starts with the header, and is a second one."""
+    if line.startswith(_HEADER):
+        raise ParseError(f"second {_HEADER!r} header: {line!r}")
+    return read(line)
 
 
 def parse_universe(text: str) -> Universe:
-    """Read the universe from the first content line: "elements: a b c"."""
-    for line in _content_lines(text):
-        if not line.startswith(_HEADER):
-            raise ParseError(f"expected {_HEADER!r} header, got {line!r}")
-        return Universe(line[len(_HEADER):].split())
+    """Read the universe from the first content line: "elements: a b c".
+
+    Only the lines up to it are split: the text is read one piece at a
+    time, each ending just after a newline character, and no line break
+    of ``str.splitlines`` spans the end of such a piece."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        for raw in text[start:stop].splitlines():
+            line = raw.partition("#")[0].strip()
+            if line:
+                if not line.startswith(_HEADER):
+                    raise ParseError(f"expected {_HEADER!r} header, got {line!r}")
+                return Universe(line[len(_HEADER):].split())
+        start = stop
     raise ParseError("empty universe declaration")
 
 
-def _rule_masks(line: str, universe: Universe) -> tuple[int, int]:
-    if "->" not in line:
-        raise ParseError(f"missing '->' in {line!r}")
-    left, right = line.split("->", 1)
-    return universe._parse_mask(left), universe._parse_mask(right)
-
-
 def parse_implication(line: str, universe: Universe) -> Implication:
-    return _implication(universe, _rule_masks(line, universe))
+    return _implication(universe, universe._parse_rule(line))
 
 
 def parse_implications(text: str, universe: Universe) -> ImplicationSet:
     """Parse one implication per content line, in file order."""
-    return ImplicationSet.from_pairs(
-        universe, [_rule_masks(line, universe) for line in _body_lines(text)]
-    )
+    table = universe._bits or universe._bit_table()
+    pairs = []
+    for line in _body_lines(text):
+        left, arrow, right = line.partition("->")
+        p = c = 0
+        try:
+            for lab in left.split():
+                p |= table[lab]
+            for lab in right.split():
+                c |= table[lab]
+        except KeyError:
+            arrow = ""
+        if not arrow:
+            p, c = _reread(line, universe._parse_rule)
+        pairs.append((p, c))
+    return ImplicationSet._of(universe, tuple(pairs))
 
 
 def parse_family(text: str, universe: Universe) -> SetFamily:
     """Parse one set per content line; "-" denotes the empty set."""
-    masks = tuple([universe._parse_mask(line) for line in _body_lines(text)])
-    return SetFamily._of(universe, masks)
+    table = universe._bits or universe._bit_table()
+    masks = []
+    for line in _body_lines(text):
+        mask = 0
+        try:
+            for lab in line.split():
+                mask |= table[lab]
+        except KeyError:
+            mask = _reread(line, universe._parse_mask)
+        masks.append(mask)
+    return SetFamily._of(universe, tuple(masks))
 
 
 def load_implications(text: str) -> tuple[Universe, ImplicationSet]:

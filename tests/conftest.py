@@ -20,6 +20,7 @@ from hornkit import (
     HornkitError,
     Implication,
     ImplicationSet,
+    ParseError,
     SetFamily,
     Universe,
     load_family,
@@ -583,6 +584,102 @@ def reference_lectic_keys(n: int, flat: Iterable[Row]) -> list[int]:
                 row += [key | both for key in row]
         keys += row
     return keys
+
+
+# -- the line-by-line loader, before the one-pass parsers ----------------------
+#
+# Text in, labels and masks out: each content line comes from a generator
+# over ``str.splitlines``, each label is looked up in a position index, and
+# a header after the first content line is refused when its line comes up.
+# ``core``'s parsers must give the same values and the same first error.
+
+_HEADER = "elements:"
+
+
+def reference_index(labels: Iterable[str]) -> dict[str, int]:
+    """The position of each label, after ``Universe``'s rules, one label at
+    a time: the first illegal or repeated label raises."""
+    index: dict[str, int] = {}
+    for pos, lab in enumerate(labels):
+        if (
+            lab.split() != [lab] or lab == "-" or "->" in lab or "#" in lab
+            or lab.startswith(_HEADER)
+        ):
+            raise ParseError(f"illegal label {lab!r}")
+        if lab in index:
+            raise ParseError(f"duplicate label {lab!r}")
+        index[lab] = pos
+    if not index:
+        raise ParseError("empty universe declaration")
+    return index
+
+
+def _reference_content_lines(text: str) -> Iterator[str]:
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
+def _reference_body_lines(text: str) -> Iterator[str]:
+    for i, line in enumerate(_reference_content_lines(text)):
+        if line.startswith(_HEADER):
+            if i:
+                raise ParseError(f"second {_HEADER!r} header: {line!r}")
+            continue
+        yield line
+
+
+def reference_parse_universe(text: str) -> tuple[str, ...]:
+    """The labels of the header, the first content line."""
+    for line in _reference_content_lines(text):
+        if not line.startswith(_HEADER):
+            raise ParseError(f"expected {_HEADER!r} header, got {line!r}")
+        labels = tuple(line[len(_HEADER):].split())
+        reference_index(labels)
+        return labels
+    raise ParseError("empty universe declaration")
+
+
+def reference_parse_mask(index: dict[str, int], text: str) -> int:
+    """The mask of a label list; "-" alone is the empty set."""
+    tokens = text.split()
+    if tokens == ["-"]:
+        return 0
+    mask = 0
+    for lab in tokens:
+        pos = index.get(lab)
+        if pos is None:
+            raise ParseError(f"unknown label {lab!r}")
+        mask |= 1 << pos
+    return mask
+
+
+def reference_parse_rule(index: dict[str, int], line: str) -> tuple[int, int]:
+    if "->" not in line:
+        raise ParseError(f"missing '->' in {line!r}")
+    left, right = line.split("->", 1)
+    return reference_parse_mask(index, left), reference_parse_mask(index, right)
+
+
+def reference_parse_implications(text: str, labels: tuple[str, ...]) -> list[tuple[int, int]]:
+    index = reference_index(labels)
+    return [reference_parse_rule(index, line) for line in _reference_body_lines(text)]
+
+
+def reference_parse_family(text: str, labels: tuple[str, ...]) -> list[int]:
+    index = reference_index(labels)
+    return [reference_parse_mask(index, line) for line in _reference_body_lines(text)]
+
+
+def reference_load_implications(text: str) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    labels = reference_parse_universe(text)
+    return labels, reference_parse_implications(text, labels)
+
+
+def reference_load_family(text: str) -> tuple[tuple[str, ...], list[int]]:
+    labels = reference_parse_universe(text)
+    return labels, reference_parse_family(text, labels)
 
 
 # -- consensus on clause objects, before its mask-pair loop --------------------

@@ -455,10 +455,17 @@ class TestMaskText:
             assert all(len(t) <= bound for t in tables)
             if n == 18:  # every subset: every entry of both tables
                 assert [len(t) for t in tables] == [512, 512]
+            # reading the listing back fills the label table: one one-bit
+            # mask per label, and, like the text tables, not in the value
+            assert u._bits is None
+            assert parse_family(u.lines(masks[:50]), u).masks() == list(masks[:50])
+            assert u._bits == {lab: 1 << p for p, lab in enumerate(labels)}
             assert u == twin and hash(u) == before[0] and repr(u) == before[1]
             assert pickle.dumps(u) == before[2]
             back = pickle.loads(before[2])
-            assert back == u and back._text is None
+            assert back == u and back._text is None and back._bits is None
+            for dup in (copy.copy(u), copy.deepcopy(u)):
+                assert dup == u and dup._text is None and dup._bits is None
 
     def test_reversed_chunks_and_their_texts(self):
         # _reversed reads a chunk backwards at every width up to 70 bits, and
